@@ -30,7 +30,7 @@ import numpy as np
 
 from ..core.envelope import EnvelopeBatch
 from ..traces import generate_trace
-from ..traces.events import Trace
+from ..traces.events import KIND_POST, KIND_SEND, Trace
 from .admission import AdmissionPolicy
 from .batching import BatchPolicy
 from .messages import TenantSpec
@@ -83,58 +83,15 @@ class ServeWorkload:
         return sum(len(a.messages) + len(a.requests) for a in self.arrivals)
 
 
-def _trace_columns(trace: Trace) -> dict[str, np.ndarray]:
-    """The trace's matching-relevant events as packed NumPy columns.
-
-    One Python pass over the event objects (the unavoidable boundary
-    between the object-shaped trace schema and the columnar data plane);
-    everything downstream -- busiest-rank selection, chunk cutting,
-    envelope packing -- is pure array work on these columns.  Cached in
-    ``trace.meta`` so the pass runs once per trace.
-
-    Columns cover sends and receive posts only, trace order preserved:
-    ``is_msg`` flags sends; ``owner`` is the matching rank (``dst`` for
-    sends, the posting rank for receives); ``src`` is the envelope
-    source (sender rank for sends, possibly-wildcard ``src`` for posts).
-    """
-    cached = trace.meta.get("_loadgen_columns")
-    if cached is not None and cached["n_events"] == len(trace.events):
-        return cached
-    is_msg: list[bool] = []
-    owner: list[int] = []
-    src: list[int] = []
-    tag: list[int] = []
-    comm: list[int] = []
-    for ev in trace.events:
-        if ev.kind == "send":
-            is_msg.append(True)
-            owner.append(ev.dst)
-            src.append(ev.rank)
-        elif ev.kind == "post_recv":
-            is_msg.append(False)
-            owner.append(ev.rank)
-            src.append(ev.src)
-        else:
-            continue
-        tag.append(ev.tag)
-        comm.append(ev.comm)
-    cols = {
-        "n_events": len(trace.events),
-        "is_msg": np.asarray(is_msg, dtype=bool),
-        "owner": np.asarray(owner, dtype=np.int64),
-        "src": np.asarray(src, dtype=np.int64),
-        "tag": np.asarray(tag, dtype=np.int64),
-        "comm": np.asarray(comm, dtype=np.int64),
-    }
-    trace.meta["_loadgen_columns"] = cols
-    return cols
-
-
 def busiest_rank(trace: Trace) -> int:
     """The rank with the most matching work (arrivals + posts);
     deterministic lowest-index tie-break."""
-    cols = _trace_columns(trace)
-    load = np.bincount(cols["owner"], minlength=trace.n_ranks)
+    cols = trace.columns
+    kind = cols["kind"]
+    load = (np.bincount(cols["peer"][kind == KIND_SEND],
+                        minlength=trace.n_ranks)
+            + np.bincount(cols["rank"][kind == KIND_POST],
+                          minlength=trace.n_ranks))
     return int(np.argmax(load))
 
 
@@ -155,12 +112,17 @@ def tenant_stream_from_trace(trace: Trace, rank: int, chunk_envelopes: int = 64,
     """
     if chunk_envelopes < 1:
         raise ValueError("chunk_envelopes must be >= 1")
-    cols = _trace_columns(trace)
-    mine = cols["owner"] == rank
-    is_msg = cols["is_msg"][mine]
-    src = cols["src"][mine]
-    tag = cols["tag"][mine]
-    comm = cols["comm"][mine]
+    cols = trace.columns
+    kind = cols["kind"]
+    # messages addressed to the rank, or receives the rank posted
+    rows = np.flatnonzero(np.where(kind == KIND_SEND, cols["peer"] == rank,
+                                   (kind == KIND_POST)
+                                   & (cols["rank"] == rank)))
+    is_msg = kind[rows] == KIND_SEND
+    # envelope source: the sender for messages, the posted src for requests
+    src = np.where(is_msg, cols["rank"][rows], cols["peer"][rows])
+    tag = cols["tag"][rows]
+    comm = cols["comm"][rows]
     # Pack the whole stream's message keys in one shot.  Request rows
     # may carry wildcards and are never packed (the packed form has no
     # wildcard encoding); their lanes here are dead values.

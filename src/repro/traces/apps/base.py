@@ -15,47 +15,79 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..events import BarrierEvent, RecvPostEvent, SendEvent, Trace
+from ..events import COLUMNS, KIND_BARRIER, KIND_POST, KIND_SEND, Trace
 
 __all__ = ["AppModel", "TraceBuilder", "grid_dims", "grid_neighbors",
            "ring_neighbors", "random_neighbors", "skewed_neighbors"]
 
+_INT_COLUMNS = tuple(name for name in COLUMNS if name != "time")
+
 
 class TraceBuilder:
-    """Accumulates events with a monotonically increasing clock.
+    """Accumulates trace columns with a monotonically increasing clock.
 
-    The synthetic clock has no physical meaning; only the *order* of
-    events matters to the analyses (it decides queue interleavings).
+    Every event takes one clock tick (a barrier takes one tick for all
+    ranks).  The synthetic clock has no physical meaning; only the
+    *order* of events matters to the analyses (it decides queue
+    interleavings).
+
+    Column blocks accumulate in order: :meth:`exchange` and
+    :meth:`barrier` append whole blocks, while the per-event
+    :meth:`send`/:meth:`post` calls append to a pending row buffer that
+    is flushed into one block before the next block (or :meth:`build`).
     """
 
     def __init__(self) -> None:
-        self._events: list = []
+        #: finished blocks: (int64 ``_INT_COLUMNS`` x rows, float64 times)
+        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
+        #: pending per-event rows, ``_INT_COLUMNS`` order
+        self._rows: list[tuple[int, ...]] = []
+        self._n_blocked = 0
         self._t = 0.0
 
-    def _tick(self) -> float:
-        self._t += 1.0
-        return self._t
+    def __len__(self) -> int:
+        """Rows recorded so far."""
+        return self._n_blocked + len(self._rows)
+
+    def _append(self, ints: np.ndarray, times: np.ndarray) -> None:
+        self._blocks.append((ints, times))
+        self._n_blocked += len(times)
+
+    def _flush(self) -> None:
+        """Move the pending rows into one block (their times are the
+        consecutive ticks before the current clock)."""
+        if self._rows:
+            n = len(self._rows)
+            ints = np.array(self._rows, dtype=np.int64).T
+            self._rows = []
+            self._append(ints, self._t - n + np.arange(1, n + 1,
+                                                       dtype=np.float64))
 
     def send(self, rank: int, dst: int, tag: int, comm: int = 0,
              nbytes: int = 8) -> None:
         """Record a send."""
-        self._events.append(SendEvent(time=self._tick(), rank=rank, dst=dst,
-                                      tag=tag, comm=comm, nbytes=nbytes))
+        self._t += 1.0
+        self._rows.append((KIND_SEND, rank, dst, tag, comm, nbytes))
 
     def post(self, rank: int, src: int, tag: int, comm: int = 0) -> None:
         """Record a receive post (src/tag may be -1)."""
-        self._events.append(RecvPostEvent(time=self._tick(), rank=rank,
-                                          src=src, tag=tag, comm=comm))
+        self._t += 1.0
+        self._rows.append((KIND_POST, rank, src, tag, comm, 0))
 
     def barrier(self, n_ranks: int) -> None:
         """Record a superstep boundary on every rank."""
-        t = self._tick()
-        for r in range(n_ranks):
-            self._events.append(BarrierEvent(time=t, rank=r))
+        self._flush()
+        self._t += 1.0
+        ints = np.zeros((len(_INT_COLUMNS), n_ranks), dtype=np.int64)
+        ints[0] = KIND_BARRIER
+        ints[1] = np.arange(n_ranks)
+        self._append(ints, np.full(n_ranks, self._t))
 
     def exchange(self, pairs: Sequence[tuple[int, int]],
-                 tag_of: Callable[[int, int, int], int],
-                 comm_of: Callable[[int, int, int], int] | None = None,
+                 tag_of: Callable[[np.ndarray, np.ndarray, np.ndarray],
+                                  int | np.ndarray],
+                 comm_of: Callable[[np.ndarray, np.ndarray, np.ndarray],
+                                   int | np.ndarray] | None = None,
                  msgs_per_pair: int = 1,
                  prepost_fraction: float = 1.0,
                  rng: np.random.Generator | None = None,
@@ -65,38 +97,71 @@ class TraceBuilder:
 
         ``tag_of(src, dst, k)`` names the tag of the k-th message on a
         pair; ``comm_of`` likewise for the communicator (default 0).
+        Both are called once per phase with three equal-length int64
+        arrays -- every message's source, destination and per-pair index
+        ``k`` -- and may return a scalar (one value for all messages) or
+        an array of that length; anything that does not broadcast to it
+        raises ``ValueError``.
 
         ``prepost_fraction`` of the receives are posted *before* any send
         of the phase (they land in the PRQ and wait); the rest are posted
         after all sends (those messages sit in the UMQ as unexpected).
         ``wildcard_src_fraction`` of the receives use MPI_ANY_SOURCE.
+        The receive order and the pair order are each one seeded shuffle.
         """
         rng = rng if rng is not None else np.random.default_rng(0)
-        comm_of = comm_of if comm_of is not None else (lambda s, d, k: 0)
-        recvs = []
-        for (src, dst) in pairs:
-            for k in range(msgs_per_pair):
-                use_wc = rng.random() < wildcard_src_fraction
-                recvs.append((dst, -1 if use_wc else src,
-                              tag_of(src, dst, k), comm_of(src, dst, k)))
-        rng.shuffle(recvs)
-        n_pre = int(round(prepost_fraction * len(recvs)))
-        for (dst, src, tag, comm) in recvs[:n_pre]:
-            self.post(dst, src, tag, comm)
-        order = list(range(len(pairs)))
+        self._flush()
+        pair_arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        m = msgs_per_pair
+        n = len(pair_arr) * m
+        # one row per message, pair-major: (src, dst, k)
+        src = np.repeat(pair_arr[:, 0], m)
+        dst = np.repeat(pair_arr[:, 1], m)
+        k = np.tile(np.arange(m, dtype=np.int64), len(pair_arr))
+        tag = _per_message(tag_of(src, dst, k), n, "tag_of")
+        comm = (_per_message(comm_of(src, dst, k), n, "comm_of")
+                if comm_of is not None else np.zeros(n, dtype=np.int64))
+        # receives: wildcard draws in message order, then one shuffle
+        wild = rng.random(n) < wildcard_src_fraction
+        recv = np.arange(n)
+        rng.shuffle(recv)
+        n_pre = int(round(prepost_fraction * n))
+        # sends: pairs in shuffled order, each pair's k messages in order
+        order = np.arange(len(pair_arr))
         rng.shuffle(order)
-        for i in order:
-            src, dst = pairs[i]
-            for k in range(msgs_per_pair):
-                self.send(src, dst, tag_of(src, dst, k),
-                          comm_of(src, dst, k), nbytes=nbytes)
-        for (dst, src, tag, comm) in recvs[n_pre:]:
-            self.post(dst, src, tag, comm)
+        send = (order[:, None] * m + np.arange(m)).ravel()
+
+        posts = np.stack([np.full(n, KIND_POST), dst,
+                          np.where(wild, -1, src), tag, comm,
+                          np.zeros(n, dtype=np.int64)])[:, recv]
+        sends = np.stack([np.full(n, KIND_SEND), src, dst, tag, comm,
+                          np.full(n, nbytes)])[:, send]
+        self._append(
+            np.concatenate([posts[:, :n_pre], sends, posts[:, n_pre:]], axis=1),
+            self._t + np.arange(1, 2 * n + 1, dtype=np.float64))
+        self._t += 2 * n
 
     def build(self, app: str, n_ranks: int, meta: dict | None = None) -> Trace:
         """Finalize into a :class:`Trace`."""
-        return Trace(app=app, n_ranks=n_ranks, events=self._events,
-                     meta=meta)
+        self._flush()
+        if not self._blocks:
+            self._append(np.empty((len(_INT_COLUMNS), 0), dtype=np.int64),
+                         np.empty(0))
+        ints = np.concatenate([b[0] for b in self._blocks], axis=1)
+        times = np.concatenate([b[1] for b in self._blocks])
+        self._blocks = [(ints, times)]   # frees the small blocks
+        columns = {name: ints[i] for i, name in enumerate(_INT_COLUMNS)}
+        columns["time"] = times
+        return Trace(app=app, n_ranks=n_ranks, meta=meta, columns=columns)
+
+
+def _per_message(values, n: int, what: str) -> np.ndarray:
+    """``values`` (scalar or array) as an int64 column of length ``n``."""
+    try:
+        return np.broadcast_to(np.asarray(values, dtype=np.int64), (n,))
+    except ValueError:
+        raise ValueError(f"{what} returned shape {np.shape(values)}; "
+                         f"expected a scalar or length {n}") from None
 
 
 class AppModel:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..events import SendEvent, RecvPostEvent, Trace
+from ..events import KIND_POST, KIND_SEND, Trace
 from .base import (AppModel, TraceBuilder, grid_dims, grid_neighbors,
                    random_neighbors)
 
@@ -40,7 +40,7 @@ class _PhasedModel(AppModel):
 
     def _phase(self, b: TraceBuilder, name: str) -> None:
         """Close the open phase (if any) and open ``name``."""
-        mark = len(b._events)
+        mark = len(b)
         if self._phases:
             last = next(reversed(self._phases))
             lo, _ = self._phases[last]
@@ -51,7 +51,7 @@ class _PhasedModel(AppModel):
         if self._phases:
             last = next(reversed(self._phases))
             lo, _ = self._phases[last]
-            self._phases[last] = (lo, len(b._events))
+            self._phases[last] = (lo, len(b))
 
 
 class AMG2023(_PhasedModel):
@@ -212,39 +212,34 @@ def pattern_summary(trace: Trace) -> dict:
     and peer degrees -- the quantities Nansamba et al. tabulate from
     Caliper traces to classify proxy-app patterns.
     """
-    phases = (trace.meta or {}).get("phases") or \
-        {"all": (0, len(trace.events))}
+    phases = (trace.meta or {}).get("phases") or {"all": (0, len(trace))}
+    cols = trace.columns
     out: dict = {"app": trace.app, "n_ranks": trace.n_ranks, "phases": {}}
     for name, (lo, hi) in phases.items():
-        events = trace.events[lo:hi]
-        sends = [e for e in events if isinstance(e, SendEvent)]
-        posts = [e for e in events if isinstance(e, RecvPostEvent)]
-        tuples: dict[tuple[int, int, int], int] = {}
-        pair_counts: dict[tuple[int, int], int] = {}
-        peers: dict[int, set] = {}
-        for e in sends:
-            key = (e.rank, e.tag, e.comm)
-            tuples[key] = tuples.get(key, 0) + 1
-            pair_counts[(e.rank, e.dst)] = \
-                pair_counts.get((e.rank, e.dst), 0) + 1
-            peers.setdefault(e.rank, set()).add(e.dst)
-        n_sends = len(sends)
-        counts = np.array(sorted(tuples.values()), dtype=float)
-        pair_arr = np.array(sorted(pair_counts.values()), dtype=float)
-        degree = np.array([len(v) for v in peers.values()], dtype=float)
+        kind = cols["kind"][lo:hi]
+        send = kind == KIND_SEND
+        rank, peer, tag, comm = (cols[c][lo:hi][send]
+                                 for c in ("rank", "peer", "tag", "comm"))
+        n_sends = int(rank.size)
+        _, counts = np.unique(np.stack([rank, tag, comm], axis=1), axis=0,
+                              return_counts=True)
+        pairs, pair_counts = np.unique(np.stack([rank, peer], axis=1),
+                                       axis=0, return_counts=True)
+        # distinct peers per sending rank = unique pairs per source
+        _, degree = np.unique(pairs[:, 0], return_counts=True)
         out["phases"][name] = {
             "sends": n_sends,
-            "posts": len(posts),
-            "tuple_cardinality": len(tuples),
-            "msgs_per_tuple_mean": (n_sends / len(tuples)
-                                    if tuples else 0.0),
-            "dominant_tuple_fraction": (float(counts[-1]) / n_sends
+            "posts": int(np.count_nonzero(kind == KIND_POST)),
+            "tuple_cardinality": int(counts.size),
+            "msgs_per_tuple_mean": (n_sends / counts.size
+                                    if counts.size else 0.0),
+            "dominant_tuple_fraction": (int(counts.max()) / n_sends
                                         if n_sends else 0.0),
-            "pairs": len(pair_counts),
-            "msgs_per_pair_mean": (float(pair_arr.mean())
-                                   if pair_arr.size else 0.0),
-            "msgs_per_pair_max": (int(pair_arr[-1])
-                                  if pair_arr.size else 0),
+            "pairs": int(pair_counts.size),
+            "msgs_per_pair_mean": (float(pair_counts.mean())
+                                   if pair_counts.size else 0.0),
+            "msgs_per_pair_max": (int(pair_counts.max())
+                                  if pair_counts.size else 0),
             "peers_mean": float(degree.mean()) if degree.size else 0.0,
             "peers_max": int(degree.max()) if degree.size else 0,
         }

@@ -8,7 +8,7 @@ import pytest
 from repro.traces.analyzer import (analyze, normalized_entropy,
                                    rank_usage_uniformity, tag_distribution)
 from repro.traces.events import (BarrierEvent, RecvPostEvent, SendEvent,
-                                 Trace)
+                                 Trace, columns_from_events)
 from repro.traces.queue_replay import (RankReplay, figure2_summary, replay,
                                        _IndexedQueue)
 from repro.traces.uniqueness import per_destination_shares, tuple_uniqueness
@@ -26,16 +26,40 @@ def P(t, rank, src, tag, comm=0):
     return RecvPostEvent(time=t, rank=rank, src=src, tag=tag, comm=comm)
 
 
+def T_cols(events, n_ranks=2, app="test"):
+    """The same trace, built from columns instead of event objects."""
+    return Trace(app=app, n_ranks=n_ranks,
+                 columns=columns_from_events(events))
+
+
 class TestTrace:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            T([S(2, 0, 1, 0), S(1, 0, 1, 0)])  # time goes backwards
-        with pytest.raises(ValueError):
-            T([S(1, 5, 1, 0)])  # rank out of range
-        with pytest.raises(ValueError):
-            T([S(1, 0, 9, 0)])  # dst out of range
-        with pytest.raises(ValueError):
-            Trace(app="x", n_ranks=0, events=[])
+        # every check fires whether the trace is built from events or
+        # from columns
+        for make in (T, T_cols):
+            with pytest.raises(ValueError, match="time order"):
+                make([S(2, 0, 1, 0), S(1, 0, 1, 0)])  # time goes backwards
+            with pytest.raises(ValueError, match="rank 5"):
+                make([S(1, 5, 1, 0)])  # rank out of range
+            with pytest.raises(ValueError, match="dst 9"):
+                make([S(1, 0, 9, 0)])  # dst out of range
+            with pytest.raises(ValueError):
+                make([], n_ranks=0)
+            # the first offending row is reported, whatever the check
+            with pytest.raises(ValueError, match="dst 7"):
+                make([S(1, 0, 7, 0), S(2, 4, 1, 0)])
+            # a post's src is not range-checked (it may be a wildcard)
+            assert len(make([P(1, 0, -1, 0)])) == 1
+
+    def test_malformed_columns_rejected(self):
+        cols = columns_from_events([S(1, 0, 1, 0), S(2, 1, 0, 0)])
+        with pytest.raises(ValueError, match="equal length"):
+            Trace(app="x", n_ranks=2, columns={**cols, "tag": [0]})
+        with pytest.raises(ValueError, match="columns must be"):
+            Trace(app="x", n_ranks=2,
+                  columns={k: v for k, v in cols.items() if k != "comm"})
+        with pytest.raises(ValueError, match="not both"):
+            Trace(app="x", n_ranks=2, events=[], columns=cols)
 
     def test_filters(self):
         tr = T([P(1, 1, 0, 0), S(2, 0, 1, 0),

@@ -32,6 +32,19 @@ class TestRoundTrip:
         again = load_trace(path)
         assert [e.kind for e in again] == [e.kind for e in trace]
 
+    @pytest.mark.parametrize("app", ["df_minife", "bp_kripke"])
+    def test_dumps_is_a_fixed_point(self, app):
+        trace = generate_trace(app, n_ranks=8, steps=2, seed=5)
+        text = dumps(trace)
+        assert dumps(loads(text)) == text
+
+    def test_events_carry_python_scalars(self):
+        trace = generate_trace("df_minidft", n_ranks=8, steps=1, seed=2)
+        for trace_ in (trace, loads(dumps(trace))):
+            for ev in trace_.events:
+                for name, value in vars(ev).items():
+                    assert type(value) is (float if name == "time" else int)
+
     def test_analyses_identical_after_roundtrip(self):
         from repro.traces import analyze, figure2_summary
         trace = generate_trace("df_partisn", n_ranks=8, steps=1)
