@@ -1,8 +1,9 @@
 """Synthetic proxy-application communication models, grouped by suite."""
 
 from .amr import Boxlib
-from .base import (AppModel, TraceBuilder, grid_dims, grid_neighbors,
-                   random_neighbors, ring_neighbors, skewed_neighbors)
+from .base import (AppModel, TraceBuilder, gather_flood, grid_dims,
+                   grid_neighbors, pair_array, random_neighbors,
+                   ring_neighbors, skewed_neighbors)
 from .cesar import MOCFE, NEKBONE, CrystalRouter
 from .designforward import AMG, MiniDFT, MiniFE, PARTISN, SNAP
 from .exact import CNS, MultiGrid
@@ -10,8 +11,8 @@ from .exmatex import CMC, LULESH
 
 __all__ = [
     "AppModel", "TraceBuilder",
-    "grid_dims", "grid_neighbors", "random_neighbors", "ring_neighbors",
-    "skewed_neighbors",
+    "gather_flood", "grid_dims", "grid_neighbors", "pair_array",
+    "random_neighbors", "ring_neighbors", "skewed_neighbors",
     "AMG", "MiniDFT", "MiniFE", "PARTISN", "SNAP",
     "NEKBONE", "MOCFE", "CrystalRouter",
     "CNS", "MultiGrid", "LULESH", "CMC", "Boxlib",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import AppModel, TraceBuilder, skewed_neighbors
+from .base import AppModel, TraceBuilder, pair_array, skewed_neighbors
 
 __all__ = ["Boxlib"]
 
@@ -31,13 +31,10 @@ class Boxlib(AppModel):
 
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
-        nbrs = skewed_neighbors(n_ranks, k_min=3, k_max=40, rng=rng,
-                                 hot_fraction=0.08)
         for step in range(steps):
-            if step and step % self.REGRID_EVERY == 0:
-                nbrs = skewed_neighbors(n_ranks, k_min=3, k_max=40, rng=rng,
-                                 hot_fraction=0.08)
-            pairs = [(s, d) for s in range(n_ranks) for d in nbrs[s]]
+            if step % self.REGRID_EVERY == 0:
+                pairs = pair_array(skewed_neighbors(
+                    n_ranks, k_min=3, k_max=40, rng=rng, hot_fraction=0.08))
             # tag identifies the fine/coarse level pair plus a phase bit
             b.exchange(pairs,
                        tag_of=lambda s, d, k, st=step: (st % 4) * 8 + k % 8,

@@ -11,16 +11,16 @@ analysis depends on -- not its numerics.
 
 from __future__ import annotations
 
+from itertools import chain, product
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..events import COLUMNS, KIND_BARRIER, KIND_POST, KIND_SEND, Trace
 
-__all__ = ["AppModel", "TraceBuilder", "grid_dims", "grid_neighbors",
-           "ring_neighbors", "random_neighbors", "skewed_neighbors"]
-
-_INT_COLUMNS = tuple(name for name in COLUMNS if name != "time")
+__all__ = ["AppModel", "TraceBuilder", "gather_flood", "grid_dims",
+           "grid_neighbors", "pair_array", "ring_neighbors",
+           "random_neighbors", "skewed_neighbors"]
 
 
 class TraceBuilder:
@@ -31,59 +31,58 @@ class TraceBuilder:
     *order* of events matters to the analyses (it decides queue
     interleavings).
 
-    Column blocks accumulate in order: :meth:`exchange` and
-    :meth:`barrier` append whole blocks, while the per-event
-    :meth:`send`/:meth:`post` calls append to a pending row buffer that
-    is flushed into one block before the next block (or :meth:`build`).
+    Rows arrive in whole blocks -- :meth:`exchange` (one phase),
+    :meth:`block` (n arbitrary rows at consecutive ticks) and
+    :meth:`barrier` -- and are kept per column, already in the
+    :data:`COLUMNS` dtypes, until :meth:`build` joins each column.
     """
 
     def __init__(self) -> None:
-        #: finished blocks: (int64 ``_INT_COLUMNS`` x rows, float64 times)
-        self._blocks: list[tuple[np.ndarray, np.ndarray]] = []
-        #: pending per-event rows, ``_INT_COLUMNS`` order
-        self._rows: list[tuple[int, ...]] = []
-        self._n_blocked = 0
+        #: per column, its blocks in append order
+        self._blocks: dict[str, list[np.ndarray]] = {name: []
+                                                     for name in COLUMNS}
+        self._n = 0
         self._t = 0.0
 
     def __len__(self) -> int:
         """Rows recorded so far."""
-        return self._n_blocked + len(self._rows)
+        return self._n
 
-    def _append(self, ints: np.ndarray, times: np.ndarray) -> None:
-        self._blocks.append((ints, times))
-        self._n_blocked += len(times)
+    def _append(self, **columns: np.ndarray) -> None:
+        """Append one block: every column, equal length, final dtypes."""
+        for name, col in columns.items():
+            self._blocks[name].append(col)
+        self._n += len(columns["time"])
 
-    def _flush(self) -> None:
-        """Move the pending rows into one block (their times are the
-        consecutive ticks before the current clock)."""
-        if self._rows:
-            n = len(self._rows)
-            ints = np.array(self._rows, dtype=np.int64).T
-            self._rows = []
-            self._append(ints, self._t - n + np.arange(1, n + 1,
-                                                       dtype=np.float64))
+    def _ticks(self, n: int) -> np.ndarray:
+        """Times of ``n`` rows at the next consecutive ticks."""
+        times = self._t + np.arange(1, n + 1, dtype=np.float64)
+        self._t += n
+        return times
 
-    def send(self, rank: int, dst: int, tag: int, comm: int = 0,
-             nbytes: int = 8) -> None:
-        """Record a send."""
-        self._t += 1.0
-        self._rows.append((KIND_SEND, rank, dst, tag, comm, nbytes))
+    def block(self, kind, rank, peer, tag, comm=0, nbytes=0) -> None:
+        """Record ``n`` rows at the next ``n`` consecutive ticks.
 
-    def post(self, rank: int, src: int, tag: int, comm: int = 0) -> None:
-        """Record a receive post (src/tag may be -1)."""
-        self._t += 1.0
-        self._rows.append((KIND_POST, rank, src, tag, comm, 0))
+        Each argument is a column value per row (see :data:`COLUMNS`):
+        a scalar or an array, broadcast together to the block's length.
+        """
+        cols = np.broadcast_arrays(*(np.asarray(v) for v in
+                                     (kind, rank, peer, tag, comm, nbytes)))
+        names = [name for name in COLUMNS if name != "time"]
+        self._append(**{name: col.astype(COLUMNS[name])
+                        for name, col in zip(names, cols)},
+                     time=self._ticks(cols[0].size))
 
     def barrier(self, n_ranks: int) -> None:
         """Record a superstep boundary on every rank."""
-        self._flush()
         self._t += 1.0
-        ints = np.zeros((len(_INT_COLUMNS), n_ranks), dtype=np.int64)
-        ints[0] = KIND_BARRIER
-        ints[1] = np.arange(n_ranks)
-        self._append(ints, np.full(n_ranks, self._t))
+        zeros = np.zeros(n_ranks, dtype=np.int64)
+        self._append(kind=np.full(n_ranks, KIND_BARRIER, dtype=np.int8),
+                     rank=np.arange(n_ranks, dtype=np.int64), peer=zeros,
+                     tag=zeros, comm=zeros, nbytes=zeros,
+                     time=np.full(n_ranks, self._t))
 
-    def exchange(self, pairs: Sequence[tuple[int, int]],
+    def exchange(self, pairs: np.ndarray | Sequence[tuple[int, int]],
                  tag_of: Callable[[np.ndarray, np.ndarray, np.ndarray],
                                   int | np.ndarray],
                  comm_of: Callable[[np.ndarray, np.ndarray, np.ndarray],
@@ -94,6 +93,10 @@ class TraceBuilder:
                  wildcard_src_fraction: float = 0.0,
                  nbytes: int = 8) -> None:
         """One exchange phase over directed ``(src, dst)`` pairs.
+
+        ``pairs`` is an ``(m, 2)`` int64 array (see :func:`pair_array`;
+        models build theirs once and re-fire it every step) or anything
+        that converts to one, such as a list of tuples.
 
         ``tag_of(src, dst, k)`` names the tag of the k-th message on a
         pair; ``comm_of`` likewise for the communicator (default 0).
@@ -107,10 +110,15 @@ class TraceBuilder:
         of the phase (they land in the PRQ and wait); the rest are posted
         after all sends (those messages sit in the UMQ as unexpected).
         ``wildcard_src_fraction`` of the receives use MPI_ANY_SOURCE.
-        The receive order and the pair order are each one seeded shuffle.
+        Both fractions must lie in ``[0, 1]``.  The receive order and the
+        pair order are each one seeded shuffle.
         """
+        for what, fraction in (("prepost_fraction", prepost_fraction),
+                               ("wildcard_src_fraction",
+                                wildcard_src_fraction)):
+            if not 0.0 <= fraction <= 1.0:
+                raise ValueError(f"{what} must be in [0, 1], got {fraction}")
         rng = rng if rng is not None else np.random.default_rng(0)
-        self._flush()
         pair_arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         m = msgs_per_pair
         n = len(pair_arr) * m
@@ -131,27 +139,34 @@ class TraceBuilder:
         rng.shuffle(order)
         send = (order[:, None] * m + np.arange(m)).ravel()
 
-        posts = np.stack([np.full(n, KIND_POST), dst,
-                          np.where(wild, -1, src), tag, comm,
-                          np.zeros(n, dtype=np.int64)])[:, recv]
-        sends = np.stack([np.full(n, KIND_SEND), src, dst, tag, comm,
-                          np.full(n, nbytes)])[:, send]
-        self._append(
-            np.concatenate([posts[:, :n_pre], sends, posts[:, n_pre:]], axis=1),
-            self._t + np.arange(1, 2 * n + 1, dtype=np.float64))
-        self._t += 2 * n
+        # rows: pre-posted receives, then the sends, then the late posts
+        rows = np.concatenate((recv[:n_pre], send, recv[n_pre:]))
+        sends = slice(n_pre, n_pre + n)
+        kind = np.full(2 * n, KIND_POST, dtype=np.int8)
+        kind[sends] = KIND_SEND
+        rank = dst[rows]
+        rank[sends] = src[send]
+        peer = np.where(wild, -1, src)[rows]
+        peer[sends] = dst[send]
+        out_bytes = np.zeros(2 * n, dtype=np.int64)
+        out_bytes[sends] = nbytes
+        self._append(kind=kind, rank=rank, peer=peer, tag=tag[rows],
+                     comm=comm[rows], nbytes=out_bytes,
+                     time=self._ticks(2 * n))
 
     def build(self, app: str, n_ranks: int, meta: dict | None = None) -> Trace:
-        """Finalize into a :class:`Trace`."""
-        self._flush()
-        if not self._blocks:
-            self._append(np.empty((len(_INT_COLUMNS), 0), dtype=np.int64),
-                         np.empty(0))
-        ints = np.concatenate([b[0] for b in self._blocks], axis=1)
-        times = np.concatenate([b[1] for b in self._blocks])
-        self._blocks = [(ints, times)]   # frees the small blocks
-        columns = {name: ints[i] for i, name in enumerate(_INT_COLUMNS)}
-        columns["time"] = times
+        """Finalize into a :class:`Trace`.
+
+        Joins one column at a time and drops that column's blocks before
+        the next, so the peak is about one trace plus one column.
+        """
+        columns = {}
+        for name, dtype in COLUMNS.items():
+            blocks = self._blocks[name]
+            columns[name] = (blocks[0] if len(blocks) == 1 else
+                             np.concatenate(blocks) if blocks else
+                             np.empty(0, dtype=dtype))
+            blocks[:] = [columns[name]]
         return Trace(app=app, n_ranks=n_ranks, meta=meta, columns=columns)
 
 
@@ -162,6 +177,32 @@ def _per_message(values, n: int, what: str) -> np.ndarray:
     except ValueError:
         raise ValueError(f"{what} returned shape {np.shape(values)}; "
                          f"expected a scalar or length {n}") from None
+
+
+def gather_flood(b: TraceBuilder, bursts: Sequence[int],
+                 tag_of: Callable[[np.ndarray], np.ndarray],
+                 comm: int = 0) -> None:
+    """Gather floods into every rank, as one :meth:`TraceBuilder.block`.
+
+    For each destination ``d`` in rank order, every other rank (source
+    order) sends ``max(1, bursts[d] // (n_ranks - 1))`` messages, the
+    k-th tagged ``tag_of(k)``; only then does ``d`` post the matching
+    receives in the same order, so the whole flood is unexpected.
+    """
+    n = len(bursts)
+    per_src = np.maximum(1, np.asarray(bursts, dtype=np.int64) // (n - 1))
+    seg = (n - 1) * per_src               # messages into each destination
+    start = np.cumsum(2 * seg) - 2 * seg  # first row of each segment
+    d = np.repeat(np.arange(n), 2 * seg)
+    r = np.arange(d.size) - start[d]      # row within d's segment
+    is_post = r >= seg[d]
+    j = r - np.where(is_post, seg[d], 0)  # message within d's segment
+    s = j // per_src[d]
+    s += s >= d                           # the sources skip d itself
+    b.block(np.where(is_post, KIND_POST, KIND_SEND),
+            rank=np.where(is_post, d, s), peer=np.where(is_post, s, d),
+            tag=tag_of(j % per_src[d]), comm=comm,
+            nbytes=np.where(is_post, 0, 8))
 
 
 class AppModel:
@@ -248,29 +289,31 @@ def grid_neighbors(n_ranks: int, ndim: int = 3, corners: bool = False,
     LULESH exchange with.
     """
     dims = grid_dims(n_ranks, ndim)
-    coords = [np.unravel_index(r, dims) for r in range(n_ranks)]
-    index = {c: r for r, c in enumerate(coords)}
-    offsets: list[tuple[int, ...]] = []
     if corners:
-        grids = np.meshgrid(*[[-1, 0, 1]] * ndim, indexing="ij")
-        for off in zip(*[g.ravel() for g in grids]):
-            if any(off):
-                offsets.append(off)
+        offsets = [off for off in product((-1, 0, 1), repeat=ndim)
+                   if any(off)]
     else:
-        for d in range(ndim):
-            for s in (-1, 1):
-                off = [0] * ndim
-                off[d] = s
-                offsets.append(tuple(off))
-    out: list[list[int]] = []
-    for r in range(n_ranks):
-        mine = []
-        for off in offsets:
-            c = tuple(int(x) + int(o) for x, o in zip(coords[r], off))
-            if all(0 <= ci < di for ci, di in zip(c, dims)):
-                mine.append(index[c])
-        out.append(mine)
-    return out
+        offsets = [tuple(s * (i == d) for i in range(ndim))
+                   for d in range(ndim) for s in (-1, 1)]
+    coords = np.stack(np.unravel_index(np.arange(n_ranks), dims), axis=-1)
+    cand = coords[:, None, :] + np.array(offsets)     # (rank, offset, dim)
+    inside = ((cand >= 0) & (cand < dims)).all(axis=-1)
+    flat = np.ravel_multi_index(tuple(np.moveaxis(cand, -1, 0)), dims,
+                                mode="clip")
+    return [row[keep].tolist() for row, keep in zip(flat, inside)]
+
+
+def pair_array(nbrs: Sequence[Sequence[int]]) -> np.ndarray:
+    """Directed ``(src, dst)`` pairs of per-rank neighbor lists as an
+    ``(m, 2)`` int64 array: source-major, each source's neighbors in
+    list order (the order of ``[(s, d) for s in ranks for d in nbrs[s]]``).
+    """
+    counts = np.fromiter(map(len, nbrs), dtype=np.int64, count=len(nbrs))
+    pairs = np.empty((int(counts.sum()), 2), dtype=np.int64)
+    pairs[:, 0] = np.repeat(np.arange(len(nbrs), dtype=np.int64), counts)
+    pairs[:, 1] = np.fromiter(chain.from_iterable(nbrs), dtype=np.int64,
+                              count=len(pairs))
+    return pairs
 
 
 def ring_neighbors(n_ranks: int, hops: int = 1) -> list[list[int]]:
@@ -284,15 +327,7 @@ def random_neighbors(n_ranks: int, k: int,
     """Uniform random ``k``-neighbor sets (symmetrized, so degrees are
     approximately ``k`` and communication is two-way like real halo
     exchanges)."""
-    k = min(k, n_ranks - 1)
-    nbrs = [set() for _ in range(n_ranks)]
-    for r in range(n_ranks):
-        choices = rng.choice([x for x in range(n_ranks) if x != r],
-                             size=k, replace=False)
-        for c in choices:
-            nbrs[r].add(int(c))
-            nbrs[int(c)].add(r)
-    return [sorted(s) for s in nbrs]
+    return _symmetrized(n_ranks, [min(k, n_ranks - 1)] * n_ranks, rng)
 
 
 def skewed_neighbors(n_ranks: int, k_min: int, k_max: int,
@@ -305,13 +340,23 @@ def skewed_neighbors(n_ranks: int, k_min: int, k_max: int,
     statically partitioned queues.
     """
     hot = max(1, int(hot_fraction * n_ranks))
-    nbrs = [set() for _ in range(n_ranks)]
-    for r in range(n_ranks):
-        k = k_max if r < hot else k_min
-        k = min(k, n_ranks - 1)
-        choices = rng.choice([x for x in range(n_ranks) if x != r],
-                             size=k, replace=False)
-        for c in choices:
-            nbrs[r].add(int(c))
-            nbrs[int(c)].add(r)
-    return [sorted(s) for s in nbrs]
+    return _symmetrized(n_ranks, [min(k_max if r < hot else k_min,
+                                      n_ranks - 1) for r in range(n_ranks)],
+                        rng)
+
+
+def _symmetrized(n_ranks: int, degrees: Sequence[int],
+                 rng: np.random.Generator) -> list[list[int]]:
+    """Rank ``r`` (in rank order) draws ``degrees[r]`` distinct peers
+    other than itself; every draw becomes a two-way edge.  Returns each
+    rank's peers, sorted."""
+    ranks = np.arange(n_ranks)
+    picks = [rng.choice(np.delete(ranks, r), size=k, replace=False)
+             for r, k in enumerate(degrees)]
+    src = np.repeat(ranks, degrees)
+    dst = np.concatenate(picks)
+    edges = np.unique(np.concatenate((src * n_ranks + dst,
+                                      dst * n_ranks + src)))
+    peers = np.split(edges % n_ranks,
+                     np.searchsorted(edges, ranks[1:] * n_ranks))
+    return [row.tolist() for row in peers]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..events import KIND_POST, KIND_SEND, Trace
-from .base import (AppModel, TraceBuilder, grid_dims, grid_neighbors,
+from .base import (AppModel, TraceBuilder, grid_dims, pair_array,
                    random_neighbors)
 
 __all__ = ["AMG2023", "Kripke", "Laghos", "pattern_summary"]
@@ -78,19 +78,18 @@ class AMG2023(_PhasedModel):
     N_LEVELS = 4
 
     def _level_pairs(self, n_ranks: int,
-                     rng: np.random.Generator) -> list[list[tuple[int, int]]]:
+                     rng: np.random.Generator) -> list[np.ndarray]:
         """Per-level directed halo pairs: each coarser level keeps every
         4th rank of the finer one and densifies its stencil."""
         levels = []
-        active = list(range(n_ranks))
+        active = np.arange(n_ranks)
         k = 3
         for _ in range(self.N_LEVELS):
             if len(active) < 2:
                 break
             nbrs = random_neighbors(len(active), k=min(k, len(active) - 1),
                                     rng=rng)
-            levels.append([(active[i], active[j])
-                           for i in range(len(active)) for j in nbrs[i]])
+            levels.append(active[pair_array(nbrs)])
             active = active[::4]
             k *= 2
         return levels
@@ -144,18 +143,15 @@ class Kripke(_PhasedModel):
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
         px, py = grid_dims(n_ranks, 2)
-        coord = [(r // py, r % py) for r in range(n_ranks)]
-        index = {c: r for r, c in enumerate(coord)}
+        index = {(r // py, r % py): r for r in range(n_ranks)}
+        # downstream edges of each octant's wavefront, one set per octant
+        octant_pairs = [
+            pair_array([[index[c] for c in ((x + dx, y), (x, y + dy))
+                         if c in index] for x, y in index])
+            for dx, dy in [(sx, sy) for sx in (1, -1) for sy in (1, -1)] * 2]
         self._phase(b, "sweep")
         for _it in range(steps):
-            for octant, (dx, dy) in enumerate(
-                    [(sx, sy) for sx in (1, -1) for sy in (1, -1)] * 2):
-                # downstream edges of this octant's wavefront
-                pairs = []
-                for (x, y), r in index.items():
-                    for nx, ny in ((x + dx, y), (x, y + dy)):
-                        if (nx, ny) in index:
-                            pairs.append((r, index[(nx, ny)]))
+            for octant, pairs in enumerate(octant_pairs):
                 b.exchange(pairs, tag_of=lambda s, d, k, o=octant: o,
                            msgs_per_pair=self.CHUNKS,
                            prepost_fraction=1.0, rng=rng)
@@ -187,8 +183,7 @@ class Laghos(_PhasedModel):
 
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
-        nbrs = random_neighbors(n_ranks, k=5, rng=rng)
-        pairs = [(s, d) for s in range(n_ranks) for d in nbrs[s]]
+        pairs = pair_array(random_neighbors(n_ranks, k=5, rng=rng))
         self._phase(b, "timestep")
         for _step in range(steps):
             b.exchange(pairs,

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import AppModel, TraceBuilder, ring_neighbors
+from .base import (AppModel, TraceBuilder, gather_flood, pair_array,
+                   ring_neighbors)
 
 __all__ = ["NEKBONE", "MOCFE", "CrystalRouter"]
 
@@ -43,25 +44,17 @@ class NEKBONE(AppModel):
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
         n_hot = max(1, int(self.HOT_FRACTION * n_ranks))
-        nbrs = ring_neighbors(n_ranks, hops=4)
+        bursts = [self.HOT_BURST if dst < n_hot else self.REGULAR_BURST
+                  for dst in range(n_ranks)]
+        pairs = pair_array(ring_neighbors(n_ranks, hops=4))
         for _step in range(steps):
             # solver halo on communicator 0: moderate, mostly preposted
-            pairs = [(s, d) for s in range(n_ranks) for d in nbrs[s]]
             b.exchange(pairs, tag_of=lambda s, d, k: k % 3,
                        comm_of=lambda s, d, k: 0,
                        msgs_per_pair=2, prepost_fraction=0.8, rng=rng)
             # gather/scatter flood on communicator 1: sends first, posts
             # after -- this is what builds the deep unexpected queues.
-            for dst in range(n_ranks):
-                burst = self.HOT_BURST if dst < n_hot else self.REGULAR_BURST
-                srcs = [s for s in range(n_ranks) if s != dst]
-                per_src = max(1, burst // len(srcs))
-                for s in srcs:
-                    for k in range(per_src):
-                        b.send(s, dst, tag=k % 7, comm=1)
-                for s in srcs:
-                    for k in range(per_src):
-                        b.post(dst, src=s, tag=k % 7, comm=1)
+            gather_flood(b, bursts, tag_of=lambda k: k % 7, comm=1)
             b.barrier(n_ranks)
 
 
@@ -82,11 +75,10 @@ class MOCFE(AppModel):
 
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
-        nbrs = ring_neighbors(n_ranks, hops=8)
+        pairs = pair_array([mine[:4]
+                            for mine in ring_neighbors(n_ranks, hops=8)])
         for step in range(steps):
             for angle in range(self.ANGLES):
-                pairs = [(s, d) for s in range(n_ranks)
-                         for d in nbrs[s][:4]]
                 base = (step * self.ANGLES + angle) * self.SEGMENTS
                 # each pair carries a different characteristic segment
                 b.exchange(pairs,
@@ -114,13 +106,12 @@ class CrystalRouter(AppModel):
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
         n_dims = max(1, int(np.floor(np.log2(n_ranks))))
+        # per dimension, every rank whose partner exists trades with it
+        dim_pairs = [pair_array([[s ^ (1 << d)] if s ^ (1 << d) < n_ranks
+                                 else [] for s in range(n_ranks)])
+                     for d in range(n_dims)]
         for _step in range(steps):
-            for d in range(n_dims):
-                pairs = []
-                for s in range(n_ranks):
-                    partner = s ^ (1 << d)
-                    if partner < n_ranks:
-                        pairs.append((s, partner))
+            for d, pairs in enumerate(dim_pairs):
                 b.exchange(pairs, tag_of=lambda s, dd, k, dim=d: dim,
                            msgs_per_pair=2, prepost_fraction=0.6, rng=rng)
             b.barrier(n_ranks)

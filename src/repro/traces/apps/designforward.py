@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import AppModel, TraceBuilder, grid_neighbors, random_neighbors
+from ..events import KIND_POST, KIND_SEND
+from .base import (AppModel, TraceBuilder, grid_neighbors, pair_array,
+                   random_neighbors)
 
 __all__ = ["AMG", "MiniDFT", "MiniFE", "PARTISN", "SNAP"]
 
@@ -49,13 +51,13 @@ class AMG(AppModel):
                       for k in self.LEVEL_DEGREES]
         # fine level is the true grid halo, not random
         level_nbrs[0] = grid_neighbors(n_ranks, ndim=3, corners=False)
+        level_pairs = [pair_array(nbrs) for nbrs in level_nbrs]
         for _step in range(steps):
             # down-sweep then up-sweep of the V-cycle
-            for level in list(range(len(level_nbrs))) \
-                    + list(reversed(range(len(level_nbrs) - 1))):
-                pairs = [(s, d) for s in range(n_ranks)
-                         for d in level_nbrs[level][s]]
-                b.exchange(pairs, tag_of=lambda s, d, k, lv=level: lv % 3,
+            for level in list(range(len(level_pairs))) \
+                    + list(reversed(range(len(level_pairs) - 1))):
+                b.exchange(level_pairs[level],
+                           tag_of=lambda s, d, k, lv=level: lv % 3,
                            prepost_fraction=0.6, rng=rng)
             b.barrier(n_ranks)
 
@@ -82,13 +84,18 @@ class MiniDFT(AppModel):
 
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
-        groups = [list(range(g, min(g + self.GROUP_SIZE, n_ranks)))
+        groups = [range(g, min(g + self.GROUP_SIZE, n_ranks))
                   for g in range(0, n_ranks, self.GROUP_SIZE)]
+        # all ordered pairs within each group
+        group_pairs = []
+        for group in groups:
+            size = len(group)
+            others = [[d for d in range(size) if d != s] for s in range(size)]
+            group_pairs.append(pair_array(others) + group.start)
         tag_counter = 0
         for step in range(steps):
-            for gi, group in enumerate(groups):
+            for gi, (group, pairs) in enumerate(zip(groups, group_pairs)):
                 comm = gi % self.n_communicators
-                pairs = [(s, d) for s in group for d in group if s != d]
                 base = tag_counter
                 b.exchange(
                     pairs,
@@ -115,19 +122,20 @@ class MiniFE(AppModel):
 
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
-        nbrs = grid_neighbors(n_ranks, ndim=3, corners=False)
+        halo = pair_array(grid_neighbors(n_ranks, ndim=3, corners=False))
+        others = n_ranks - 1
         for _step in range(steps):
-            halo = [(s, d) for s in range(n_ranks) for d in nbrs[s]]
             b.exchange(halo, tag_of=lambda s, d, k: 0,
                        prepost_fraction=0.75, rng=rng)
             # convergence check: contributions gathered at rank 0 with
             # ANY_SOURCE, but only every few iterations so rank 0 does
-            # not dominate the traffic distribution
+            # not dominate the traffic distribution.  Every other rank
+            # sends, then rank 0 posts one wildcard receive per sender.
             if _step % 4 == 0:
-                for s in range(1, n_ranks):
-                    b.send(s, 0, tag=1)
-                for _ in range(1, n_ranks):
-                    b.post(0, src=-1, tag=1)
+                b.block(np.repeat([KIND_SEND, KIND_POST], others),
+                        rank=np.r_[1:n_ranks, [0] * others],
+                        peer=np.repeat([0, -1], others), tag=1,
+                        nbytes=np.repeat([8, 0], others))
             b.barrier(n_ranks)
 
 
@@ -149,13 +157,12 @@ class PARTISN(AppModel):
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
         nbrs = grid_neighbors(n_ranks, ndim=2, corners=False)
+        pairs = pair_array([mine[:2] for mine in nbrs])
         for step in range(steps):
             for octant in range(self.OCTANTS):
                 for plane in range(self.PLANES):
                     tag = ((step * self.OCTANTS + octant) * self.PLANES
                            + plane) % 60000
-                    pairs = [(s, d) for s in range(n_ranks)
-                             for d in nbrs[s][:2]]
                     b.exchange(pairs, tag_of=lambda s, d, k, t=tag: t,
                                prepost_fraction=0.3, rng=rng)
             b.barrier(n_ranks)
@@ -177,10 +184,9 @@ class SNAP(AppModel):
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
         nbrs = grid_neighbors(n_ranks, ndim=2, corners=False)
+        pairs = pair_array([mine[:2] for mine in nbrs])
         for _step in range(steps):
             for octant in range(self.OCTANTS):
-                pairs = [(s, d) for s in range(n_ranks)
-                         for d in nbrs[s][:2]]
                 b.exchange(pairs, tag_of=lambda s, d, k, o=octant: o,
                            msgs_per_pair=4, prepost_fraction=0.5, rng=rng)
             b.barrier(n_ranks)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import AppModel, TraceBuilder, grid_neighbors, random_neighbors
+from .base import (AppModel, TraceBuilder, gather_flood, grid_neighbors,
+                   pair_array, random_neighbors)
 
 __all__ = ["CNS", "MultiGrid"]
 
@@ -40,9 +41,9 @@ class CNS(AppModel):
         face = grid_neighbors(n_ranks, ndim=3, corners=True)
         extra = random_neighbors(
             n_ranks, max(1, int((self.TARGET_PEERS - 26) * 0.86)), rng)
-        nbrs = [sorted(set(face[r]) | set(extra[r])) for r in range(n_ranks)]
+        pairs = pair_array([sorted(set(face[r]) | set(extra[r]))
+                            for r in range(n_ranks)])
         for _step in range(steps):
-            pairs = [(s, d) for s in range(n_ranks) for d in nbrs[s]]
             b.exchange(pairs, tag_of=lambda s, d, k: k % 5,
                        prepost_fraction=0.65, rng=rng)
             b.barrier(n_ranks)
@@ -71,21 +72,13 @@ class MultiGrid(AppModel):
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
         n_hot = max(1, int(self.HOT_FRACTION * n_ranks))
-        halo = grid_neighbors(n_ranks, ndim=3, corners=False)
+        bursts = [self.HOT_BURST if dst < n_hot else self.REGULAR_BURST
+                  for dst in range(n_ranks)]
+        halo = pair_array(grid_neighbors(n_ranks, ndim=3, corners=False))
         for _step in range(steps):
             # smoother halo: regular, mostly preposted
-            pairs = [(s, d) for s in range(n_ranks) for d in halo[s]]
-            b.exchange(pairs, tag_of=lambda s, d, k: 0,
+            b.exchange(halo, tag_of=lambda s, d, k: 0,
                        msgs_per_pair=2, prepost_fraction=0.8, rng=rng)
             # restriction flood toward coarse-grid owners
-            for dst in range(n_ranks):
-                burst = self.HOT_BURST if dst < n_hot else self.REGULAR_BURST
-                srcs = [s for s in range(n_ranks) if s != dst]
-                per_src = max(1, burst // len(srcs))
-                for s in srcs:
-                    for k in range(per_src):
-                        b.send(s, dst, tag=1 + k % 4)
-                for s in srcs:
-                    for k in range(per_src):
-                        b.post(dst, src=s, tag=1 + k % 4)
+            gather_flood(b, bursts, tag_of=lambda k: 1 + k % 4)
             b.barrier(n_ranks)

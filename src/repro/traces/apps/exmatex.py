@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .base import AppModel, TraceBuilder, grid_neighbors, random_neighbors
+from .base import (AppModel, TraceBuilder, grid_neighbors, pair_array,
+                   random_neighbors)
 
 __all__ = ["LULESH", "CMC"]
 
@@ -32,9 +33,8 @@ class LULESH(AppModel):
 
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
-        nbrs = grid_neighbors(n_ranks, ndim=3, corners=True)
+        pairs = pair_array(grid_neighbors(n_ranks, ndim=3, corners=True))
         for _step in range(steps):
-            pairs = [(s, d) for s in range(n_ranks) for d in nbrs[s]]
             for field_tag in range(3):
                 b.exchange(pairs, tag_of=lambda s, d, k, t=field_tag: t,
                            prepost_fraction=self.PREPOST, rng=rng)
@@ -56,11 +56,8 @@ class CMC(AppModel):
               rng: np.random.Generator) -> None:
         nbrs = random_neighbors(n_ranks, 8, rng)
         for _step in range(steps):
-            pairs = []
-            for s in range(n_ranks):
-                chosen = rng.choice(nbrs[s],
-                                    size=min(4, len(nbrs[s])), replace=False)
-                pairs.extend((s, int(d)) for d in chosen)
+            pairs = pair_array([rng.choice(mine, size=min(4, len(mine)),
+                                           replace=False) for mine in nbrs])
             b.exchange(pairs, tag_of=lambda s, d, k: k % 2,
                        msgs_per_pair=2, prepost_fraction=0.55, rng=rng)
             b.barrier(n_ranks)

@@ -54,6 +54,8 @@ COLUMNS: dict[str, type] = {
     "comm": np.int64, "nbytes": np.int64, "time": np.float64,
 }
 
+_KINDS = (KIND_SEND, KIND_POST, KIND_BARRIER)
+
 #: rows per column-to-list conversion when building event objects
 #: (bounds the transient Python lists)
 _CHUNK = 4096
@@ -178,8 +180,8 @@ class Trace:
         Alternatively to ``events``, the :data:`COLUMNS` arrays
         themselves (adopted without a copy where the dtype matches).
 
-    Either way the columns are validated on construction: time order,
-    rank range, and send-destination range.
+    Either way the columns are validated on construction: kind values,
+    time order, rank range, and send-destination range.
     """
 
     def __init__(self, app: str, n_ranks: int, events: Iterable | None = None,
@@ -196,6 +198,9 @@ class Trace:
             raise ValueError("pass events or columns, not both")
         if set(columns) != set(COLUMNS):
             raise ValueError(f"trace columns must be {list(COLUMNS)}")
+        # kinds are checked as given: the int8 cast below would wrap them
+        raw_kind = np.asarray(columns["kind"])
+        columns = {**columns, "kind": raw_kind}
         cols: dict[str, np.ndarray] = {}
         for name, dtype in COLUMNS.items():
             col = np.asarray(columns[name], dtype=dtype).view()
@@ -205,16 +210,20 @@ class Trace:
                 or cols["kind"].ndim != 1:
             raise ValueError("trace columns must be 1-D and equal length")
         self.columns = cols
-        self._validate()
+        self._validate(raw_kind)
         self._event_list: list | None = None
 
-    def _validate(self) -> None:
+    def _validate(self, raw_kind: np.ndarray) -> None:
         """Raise on the first (lowest-row) violation, checks in the order
-        time, rank, send dst."""
+        kind (``raw_kind``: the kind column before its int8 cast), time,
+        rank, send dst."""
         kind, rank, peer, time = (self.columns[name] for name in
                                   ("kind", "rank", "peer", "time"))
         n = self.n_ranks
         checks = (
+            (np.flatnonzero(np.logical_and.reduce(
+                [raw_kind != k for k in _KINDS])),
+             lambda i: f"unknown event kind {raw_kind[i]}"),
             (np.flatnonzero(time[1:] < time[:-1]) + 1,
              lambda i: f"events out of time order at t={time[i]} "
                        f"(< {time[i - 1]})"),

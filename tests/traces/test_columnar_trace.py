@@ -12,14 +12,17 @@ loadgen's arrival streams cannot drift.
 from __future__ import annotations
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.traces import app_names, dumps, generate_trace
-from repro.traces.apps.base import TraceBuilder
-from repro.traces.events import (COLUMNS, BarrierEvent, RecvPostEvent,
-                                 SendEvent)
+from repro.traces.apps.base import (TraceBuilder, gather_flood, grid_dims,
+                                   grid_neighbors, pair_array,
+                                   random_neighbors, skewed_neighbors)
+from repro.traces.events import (COLUMNS, KIND_POST, KIND_SEND, BarrierEvent,
+                                 RecvPostEvent, SendEvent)
 
 #: SHA-256 over every column's bytes in :data:`COLUMNS` order, keyed by
 #: ``(app, n_ranks, steps, seed)`` (``None`` = the model's default).
@@ -71,7 +74,7 @@ GOLDEN_DUMPS = {
 
 #: Complete event lists at ``n_ranks=2, steps=1, seed=0``.
 GOLDEN_EVENTS = {
-    # halo exchange, then the wildcard gather's per-event send/post
+    # halo exchange, then the wildcard gather: one send, one ANY_SOURCE post
     "df_minife": [
         RecvPostEvent(time=1.0, rank=1, src=0, tag=0, comm=0),
         RecvPostEvent(time=2.0, rank=0, src=1, tag=0, comm=0),
@@ -200,12 +203,160 @@ class TestExchangeContract:
         b.exchange([], tag_of=lambda s, d, k: 0)
         assert len(b) == 0 and len(b.build("x", n_ranks=2)) == 0
 
-    def test_builder_len_counts_pending_rows(self):
+    def test_builder_len_counts_block_rows(self):
         b = TraceBuilder()
-        b.send(0, 1, tag=0)
-        b.post(1, src=0, tag=0)
+        b.block([KIND_SEND, KIND_POST], rank=[0, 1], peer=[1, 0], tag=0,
+                nbytes=[8, 0])
         assert len(b) == 2
         b.barrier(3)
         assert len(b) == 5
-        assert [e.time for e in b.build("x", n_ranks=3)] == \
-            [1.0, 2.0, 3.0, 3.0, 3.0]
+        trace = b.build("x", n_ranks=3)
+        assert [e.time for e in trace] == [1.0, 2.0, 3.0, 3.0, 3.0]
+        assert list(trace)[:2] == [
+            SendEvent(time=1.0, rank=0, dst=1, tag=0, comm=0, nbytes=8),
+            RecvPostEvent(time=2.0, rank=1, src=0, tag=0, comm=0)]
+
+    def test_block_after_exchange_continues_the_clock(self):
+        b = TraceBuilder()
+        b.exchange(self.PAIRS, tag_of=lambda s, d, k: 0)
+        b.block(KIND_POST, rank=np.arange(3), peer=-1, tag=4)
+        trace = b.build("x", n_ranks=3)
+        assert trace.columns["time"].tolist() == list(range(1, 10))
+        assert trace.columns["peer"][-3:].tolist() == [-1, -1, -1]
+        assert trace.columns["kind"].dtype == np.int8
+
+    @pytest.mark.parametrize("kw, name", [
+        ({"prepost_fraction": -0.5}, "prepost_fraction"),
+        ({"prepost_fraction": 1.5}, "prepost_fraction"),
+        ({"wildcard_src_fraction": 2.0}, "wildcard_src_fraction"),
+        ({"wildcard_src_fraction": float("nan")}, "wildcard_src_fraction"),
+    ])
+    def test_fraction_out_of_range_raises(self, kw, name):
+        with pytest.raises(ValueError, match=name):
+            self.build(tag_of=lambda s, d, k: 0, **kw)
+
+    def test_pair_array_and_tuple_list_give_identical_columns(self):
+        nbrs = [[1, 2], [], [0, 1, 3], [2]]
+        as_list = [(s, d) for s in range(len(nbrs)) for d in nbrs[s]]
+        traces = []
+        for pairs in (as_list, pair_array(nbrs)):
+            b = TraceBuilder()
+            b.exchange(pairs, tag_of=lambda s, d, k: s + d + k,
+                       msgs_per_pair=3, prepost_fraction=0.4,
+                       wildcard_src_fraction=0.3,
+                       rng=np.random.default_rng(5))
+            traces.append(b.build("x", n_ranks=4))
+        assert column_digest(traces[0]) == column_digest(traces[1])
+
+
+class TestPairArray:
+    @pytest.mark.parametrize("nbrs", [
+        [[1, 2], [0], [0, 3, 1], [2]],   # ragged
+        [[], [2, 0], [], [1]],           # empty rows
+        [[], []],                        # no pairs at all
+        [],                              # zero ranks
+    ])
+    def test_order_equals_the_list_comprehension(self, nbrs):
+        pairs = pair_array(nbrs)
+        assert pairs.dtype == np.int64 and pairs.shape == \
+            (sum(map(len, nbrs)), 2)
+        assert [tuple(p) for p in pairs.tolist()] == \
+            [(s, d) for s in range(len(nbrs)) for d in nbrs[s]]
+
+    def test_accepts_array_rows(self):
+        nbrs = [np.array([3, 1]), np.array([], dtype=np.int64)]
+        assert pair_array(nbrs).tolist() == [[0, 3], [0, 1]]
+
+
+class TestLoopReferences:
+    """The vectorized helpers against the per-rank loops they replaced."""
+
+    @staticmethod
+    def grid_loop(n_ranks, ndim, corners):
+        dims = grid_dims(n_ranks, ndim)
+        coords = [np.unravel_index(r, dims) for r in range(n_ranks)]
+        index = {tuple(int(x) for x in c): r for r, c in enumerate(coords)}
+        if corners:
+            grids = np.meshgrid(*[[-1, 0, 1]] * ndim, indexing="ij")
+            offsets = [o for o in zip(*[g.ravel() for g in grids]) if any(o)]
+        else:
+            offsets = [tuple(s if i == d else 0 for i in range(ndim))
+                       for d in range(ndim) for s in (-1, 1)]
+        out = []
+        for r in range(n_ranks):
+            mine = []
+            for off in offsets:
+                c = tuple(int(x) + int(o) for x, o in zip(coords[r], off))
+                if all(0 <= ci < di for ci, di in zip(c, dims)):
+                    mine.append(index[c])
+            out.append(mine)
+        return out
+
+    @staticmethod
+    def symmetrized_loop(n_ranks, degrees, rng):
+        nbrs = [set() for _ in range(n_ranks)]
+        for r in range(n_ranks):
+            choices = rng.choice([x for x in range(n_ranks) if x != r],
+                                 size=degrees[r], replace=False)
+            for c in choices:
+                nbrs[r].add(int(c))
+                nbrs[int(c)].add(r)
+        return [sorted(x) for x in nbrs]
+
+    @pytest.mark.parametrize("n_ranks", [1, 2, 7, 12, 30, 64])
+    @pytest.mark.parametrize("ndim, corners",
+                             [(2, False), (2, True), (3, False), (3, True)])
+    def test_grid_neighbors(self, n_ranks, ndim, corners):
+        assert grid_neighbors(n_ranks, ndim, corners) == \
+            self.grid_loop(n_ranks, ndim, corners)
+
+    @pytest.mark.parametrize("n_ranks, k", [(2, 1), (9, 3), (40, 39),
+                                            (50, 6)])
+    def test_random_and_skewed_neighbors(self, n_ranks, k):
+        got = random_neighbors(n_ranks, k, np.random.default_rng(3))
+        assert got == self.symmetrized_loop(
+            n_ranks, [min(k, n_ranks - 1)] * n_ranks,
+            np.random.default_rng(3))
+        hot = max(1, int(0.2 * n_ranks))
+        got = skewed_neighbors(n_ranks, 1, k, np.random.default_rng(4),
+                               hot_fraction=0.2)
+        assert got == self.symmetrized_loop(
+            n_ranks, [min(k if r < hot else 1, n_ranks - 1)
+                      for r in range(n_ranks)], np.random.default_rng(4))
+
+    @pytest.mark.parametrize("bursts", [[5, 1], [9, 2, 2], [40, 3, 17, 0, 8]])
+    def test_gather_flood(self, bursts):
+        n = len(bursts)
+        want = []
+        for dst in range(n):
+            srcs = [s for s in range(n) if s != dst]
+            per_src = max(1, bursts[dst] // len(srcs))
+            want += [SendEvent(0, s, dst, k % 3, 1, 8)
+                     for s in srcs for k in range(per_src)]
+            want += [RecvPostEvent(0, dst, s, k % 3, 1)
+                     for s in srcs for k in range(per_src)]
+        b = TraceBuilder()
+        gather_flood(b, bursts, tag_of=lambda k: k % 3, comm=1)
+        got = list(b.build("x", n_ranks=n))
+        assert [e.time for e in got] == list(range(1, len(want) + 1))
+        assert [(type(e), {**vars(e), "time": 0}) for e in got] == \
+            [(type(e), vars(e)) for e in want]
+
+
+def test_generation_peak_is_about_one_trace():
+    """The builder keeps blocks in their final dtypes and joins one
+    column at a time, so generating holds about one trace, not two."""
+    generate_trace("df_amg", n_ranks=8, steps=1)  # first-use imports
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before, _ = tracemalloc.get_traced_memory()
+        trace = generate_trace("df_amg", steps=16, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    nbytes = sum(col.nbytes for col in trace.columns.values())
+    assert peak - before <= 1.25 * nbytes

@@ -51,6 +51,26 @@ class TestTrace:
             # a post's src is not range-checked (it may be a wildcard)
             assert len(make([P(1, 0, -1, 0)])) == 1
 
+    def test_unknown_kind_rejected_before_the_int8_cast(self):
+        cols = columns_from_events([S(1, 0, 1, 0), S(2, 1, 0, 0),
+                                    S(3, 0, 1, 0)])
+        # 258 would wrap to 2 (a barrier) under the int8 cast
+        for kind in (np.array([0, 258, 3]), [0, 258, 3]):
+            with pytest.raises(ValueError, match="kind 258"):
+                Trace(app="x", n_ranks=2, columns={**cols, "kind": kind})
+        with pytest.raises(ValueError, match="kind 1.5"):
+            Trace(app="x", n_ranks=2,
+                  columns={**cols, "kind": np.array([0.0, 1.5, 2.0])})
+        # the lowest offending row is named, whatever the check
+        with pytest.raises(ValueError, match="kind -1"):
+            Trace(app="x", n_ranks=2,
+                  columns={**cols, "kind": np.array([0, -1, 0]),
+                           "rank": np.array([0, 1, 7])})
+        with pytest.raises(ValueError, match="rank 7"):
+            Trace(app="x", n_ranks=2,
+                  columns={**cols, "kind": np.array([0, 0, 3]),
+                           "rank": np.array([0, 7, 0])})
+
     def test_malformed_columns_rejected(self):
         cols = columns_from_events([S(1, 0, 1, 0), S(2, 1, 0, 0)])
         with pytest.raises(ValueError, match="equal length"):
