@@ -16,8 +16,9 @@ Usage::
 ``--smoke`` runs a tiny sweep, writes the report to a temporary file,
 schema-checks it, and leaves ``BENCH_serve.json`` untouched (the CI
 serve job runs this mode).  ``--smoke --kill-at 2 --recover`` instead
-runs the kill/recover smoke: a supervised run with a chaos kill after
-two flushes, asserting zero admitted requests lost and schema-checking
+runs the kill/recover smoke: a fork-cluster run whose busiest worker is
+SIGKILLed after two flushes, asserting zero admitted requests lost and
+schema-checking
 the ``recovery_seconds`` / ``carryover_depth`` fields.  In full mode,
 ``--recover`` appends one extra ``kill-recover`` record carrying the
 recovery figures next to the normal sweep.
@@ -37,9 +38,9 @@ from repro.bench.regression import (ServePerfRecord, append_entry,
                                     serve_regression_failures,
                                     serve_report_path, validate_serve_entry)
 from repro.serve import (BENCHPARK_BENCH_APPS, DEFAULT_BENCH_APPS,
-                         BatchPolicy, MatchingService, ServeWorkload,
-                         ShardSupervisor, StageClock, merge_workloads,
-                         run_supervised, run_workload, workload_from_app)
+                         BatchPolicy, ServeWorkload, StageClock,
+                         merge_workloads, run_cluster_workload, run_workload,
+                         stable_shard, workload_from_app)
 
 
 def bench_workloads(*, seed: int = 0, rate_rps: float = 4000.0,
@@ -160,16 +161,19 @@ def recovery_record(*, seed: int = 0, kill_at: int = 2,
                     n_ranks: int | None = 8, rate_rps: float = 4000.0,
                     chunk_envelopes: int = 64,
                     n_shards: int = 2) -> ServePerfRecord:
-    """Kill-injected supervised run folded into one perf record.
+    """Kill-injected cluster run folded into one perf record.
 
     Merges the default bench apps into a single multi-tenant workload
-    (session mode by default, so ``carryover_depth`` is exercised), arms
-    a chaos kill on the shard hosting the first tenant after ``kill_at``
-    non-empty flushes, and drives the whole thing through
-    :func:`repro.serve.run_supervised`.  The run must actually recover
-    -- zero admitted requests lost, none double-matched -- or this exits
-    nonzero; ``recovery_seconds`` is the summed recovery wall time and
-    ``carryover_depth`` the end-of-run session backlog.
+    (session mode by default, so ``carryover_depth`` is exercised) and
+    drives it through a fork :class:`repro.serve.ClusterService` of
+    ``n_shards`` workers via :func:`repro.serve.run_cluster_workload`.
+    The worker hosting the busiest tenant SIGKILLs itself on its
+    ``kill_at``-th non-empty flush; the router recovers it from its
+    checkpoint (taken every 2 flushes) and frame journal.  The run must
+    actually recover -- zero admitted requests lost, none double-matched
+    -- or this exits nonzero; ``recovery_seconds`` is the summed
+    recovery wall time and ``carryover_depth`` the end-of-run session
+    backlog.
     """
     t0 = time.perf_counter()
     parts = [workload_from_app(app, rate_rps=rate_rps, n_ranks=n_ranks,
@@ -180,29 +184,27 @@ def recovery_record(*, seed: int = 0, kill_at: int = 2,
     loadgen_seconds = time.perf_counter() - t0
     workload = merge_workloads("kill-recover", parts)
 
-    # size watermark at the chunk size: every arrival triggers a
-    # synchronous flush, so the armed kill reliably fires mid-run
-    svc = MatchingService(n_shards=n_shards, seed=seed,
-                          batching=BatchPolicy(
-                              max_envelopes=chunk_envelopes))
-    for spec in workload.tenants:
-        svc.register(spec)
-    supervisor = ShardSupervisor(svc, checkpoint_every=2)
-    # kill the shard hosting the busiest tenant: the one guaranteed to
+    # kill the worker hosting the busiest tenant: the one guaranteed to
     # flush often enough for the armed kill to fire
     counts: dict[str, int] = {}
     for arrival in workload.arrivals:
         counts[arrival.tenant] = counts.get(arrival.tenant, 0) + 1
-    victim = svc._placement[max(counts, key=lambda n: (counts[n], n))]
-    run = run_supervised(workload, supervisor=supervisor,
-                         kill_shard=victim, kill_after_flushes=kill_at)
+    victim = stable_shard(max(counts, key=lambda n: (counts[n], n)),
+                          n_shards)
+    # size watermark at the chunk size: every arrival triggers a
+    # synchronous flush, so the armed kill reliably fires mid-run
+    cluster, wall = run_cluster_workload(
+        workload, n_workers=n_shards, seed=seed,
+        batching=BatchPolicy(max_envelopes=chunk_envelopes),
+        start_method="fork", checkpoint_every=2,
+        arm_exit=(victim, kill_at))
 
-    if not supervisor.recoveries:
+    if not cluster.recoveries:
         raise SystemExit("kill/recover run: the armed kill never fired "
-                         f"(shard {victim} saw fewer than {kill_at} "
+                         f"(worker {victim} saw fewer than {kill_at} "
                          "non-empty flushes)")
-    accepted = {t.seq for t in svc.tickets if t.accepted}
-    covered = [s for r in svc.results for s in r.covered_seqs]
+    accepted = {t.seq for t in cluster.ticket_list() if t.accepted}
+    covered = [s for r in cluster.results for s in r.covered_seqs]
     if len(covered) != len(set(covered)):
         raise SystemExit("kill/recover run: a request was matched twice")
     if set(covered) != accepted:
@@ -210,11 +212,10 @@ def recovery_record(*, seed: int = 0, kill_at: int = 2,
         raise SystemExit(f"kill/recover run: admitted requests lost "
                          f"across recovery: {lost}")
 
-    report = svc.report()
+    report = cluster.report()
     stages = StageClock()
     if loadgen_seconds:
         stages.add("loadgen", loadgen_seconds)
-    wall = run.wall_seconds
     return ServePerfRecord(
         workload=workload.name,
         tenants=len(workload.tenants),
@@ -232,14 +233,14 @@ def recovery_record(*, seed: int = 0, kill_at: int = 2,
         latency_p99_vt=report["latency_p99_vt"],
         seed=seed,
         stage_seconds=stages.snapshot(),
-        recovery_seconds=sum(r.wall_seconds for r in supervisor.recoveries),
+        recovery_seconds=sum(r.wall_seconds for r in cluster.recoveries),
         carryover_depth=sum(t["carryover_depth"]
                             for t in report["tenants"].values()),
     )
 
 
 def recovery_smoke(seed: int = 0, kill_at: int = 2) -> ServePerfRecord:
-    """Kill/recover smoke (CI mode): tiny supervised run with a chaos
+    """Kill/recover smoke (CI mode): tiny fork-cluster run with a chaos
     kill, temp-report schema check of the recovery fields, no report
     write."""
     rec = recovery_record(seed=seed, kill_at=kill_at)
@@ -361,10 +362,11 @@ def main(argv: list[str] | None = None) -> None:
                          "declared partitioned)")
     ap.add_argument("--kill-at", type=int, default=None, metavar="N",
                     dest="kill_at",
-                    help="chaos: kill the victim shard after N non-empty "
-                         "flushes (requires --recover; default 2)")
+                    help="chaos: kill the victim worker after N "
+                         "non-empty flushes (requires --recover; "
+                         "default 2)")
     ap.add_argument("--recover", action="store_true",
-                    help="run a kill-injected supervised pass and record "
+                    help="run a kill-injected cluster pass and record "
                          "recovery_seconds / carryover_depth")
     args = ap.parse_args(argv)
     if args.kill_at is not None and not args.recover:
@@ -379,7 +381,7 @@ def main(argv: list[str] | None = None) -> None:
     if args.smoke:
         if args.recover:
             rec = recovery_smoke(seed=args.seed, kill_at=kill_at)
-            print(f"kill/recover smoke: shard recovered in "
+            print(f"kill/recover smoke: worker recovered in "
                   f"{rec.recovery_seconds * 1e3:.2f}ms, "
                   f"{rec.matched} matched, zero admitted requests lost, "
                   f"carryover depth {rec.carryover_depth}")

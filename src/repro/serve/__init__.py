@@ -24,19 +24,18 @@ system:
 * **open-loop load generation** (:mod:`.loadgen`) -- tenant streams
   derived from the proxy-application traces, driving
   ``benchmarks/bench_serve.py`` and ``python -m repro serve-demo``;
-* **stateful sessions + fault tolerance** (:mod:`.state`,
-  :mod:`.supervisor`) -- persistent-UMQ carry-over for ``session``
-  tenants, a versioned CRC-guarded snapshot codec with bit-identical
-  checkpoint/restore, and a shard supervisor providing crash recovery
-  (checkpoint + journal replay, zero admitted requests lost) and live
-  tenant migration (drain -> snapshot -> catchup -> cutover) with
-  hot-spot rebalancing;
-* **multi-process clusters** (:mod:`.wire`, :mod:`.cluster`) -- each
-  shard in its own worker process behind pickle-free CRC-guarded wire
-  frames, with a router owning placement, the global sequence space,
-  and response collection; a same-seed cluster run is bit-identical to
-  the in-process service, and worker death recovers by checkpoint +
-  verbatim journal re-execution across the process boundary;
+* **stateful sessions** (:mod:`.state`) -- persistent-UMQ carry-over
+  for ``session`` tenants and a versioned CRC-guarded snapshot codec
+  with bit-identical checkpoint/restore;
+* **multi-process clusters + fault tolerance** (:mod:`.wire`,
+  :mod:`.cluster`) -- each shard in its own worker process behind
+  pickle-free CRC-guarded wire frames, with a router owning placement,
+  the global sequence space, and response collection; a same-seed
+  cluster run is bit-identical to the in-process service.  The router
+  is the one recovery and migration path: worker death recovers by
+  checkpoint + verbatim journal re-execution (zero admitted requests
+  lost), and live tenant migration (gate -> drain -> export -> cutover)
+  comes with hot-spot rebalancing;
 * **cross-shard tenants + the combining fabric** (:mod:`.fabric`) --
   ``TenantSpec(span=N)`` tenants spread sub-shards across the service,
   with inter-shard traffic coalesced into one combined column block per
@@ -53,7 +52,7 @@ from .admission import AdmissionController, AdmissionPolicy
 from .autotuner import LATTICE, Autotuner, RetuneEvent, lattice_rank
 from .batching import BatchAccumulator, BatchPolicy, concat_batches
 from .cluster import (ClusterError, ClusterMigration, ClusterRecovery,
-                      ClusterService, run_cluster_workload)
+                      ClusterService, RebalancePolicy, run_cluster_workload)
 from .fabric import (BridgePrecv, BridgePsend, BridgeRequest,
                      CollectiveBridge, Fabric, FabricError, FabricFlush,
                      FabricLink)
@@ -71,9 +70,6 @@ from .shard import Shard, TenantState
 from .stages import SERVE_STAGES, StageClock
 from .state import (SessionState, SnapshotError, restore_service,
                     snapshot_service)
-from .supervisor import (MigrationPlan, RebalancePolicy, RecoveryReport,
-                         ShardSupervisor, SupervisedRun,
-                         bump_epoch_past_stale, run_supervised)
 from .wire import (FRAME_KINDS, WIRE_MAGIC, WIRE_VERSION, WireError,
                    decode_frame, encode_frame)
 
@@ -91,13 +87,11 @@ __all__ = [
     "DEFAULT_BENCH_APPS", "BENCHPARK_BENCH_APPS", "run_workload", "demo",
     "SERVE_STAGES", "StageClock",
     "SessionState", "SnapshotError", "snapshot_service", "restore_service",
-    "ShardSupervisor", "RecoveryReport", "MigrationPlan",
-    "RebalancePolicy", "SupervisedRun", "run_supervised",
-    "bump_epoch_past_stale", "stable_shard",
+    "stable_shard",
     "WIRE_MAGIC", "WIRE_VERSION", "FRAME_KINDS", "WireError",
     "encode_frame", "decode_frame",
     "ClusterError", "ClusterRecovery", "ClusterMigration",
-    "ClusterService", "run_cluster_workload",
+    "ClusterService", "RebalancePolicy", "run_cluster_workload",
     "FabricError", "FabricLink", "FabricFlush", "Fabric",
     "BridgeRequest", "CollectiveBridge", "BridgePsend", "BridgePrecv",
 ]

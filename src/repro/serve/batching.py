@@ -167,19 +167,3 @@ class BatchAccumulator:
         fa = state["first_admit_vt"]
         self._first_admit_vt = None if fa is None else float(fa)
         self.epoch = int(state["epoch"])
-
-    def discard_covered(self, covered_seqs: set[int]) -> int:
-        """Drop pending requests whose seq is in ``covered_seqs``.
-
-        Crash-recovery reconciliation: a restored checkpoint may hold
-        requests that a post-checkpoint flush already matched (the flush
-        ledger outlives the crashed shard).  Removing them here is what
-        keeps recovery exactly-once.  Returns the envelope count dropped.
-        """
-        keep = [r for r in self._pending if r.seq not in covered_seqs]
-        dropped = self._n_envelopes - sum(r.n_envelopes for r in keep)
-        if len(keep) != len(self._pending):
-            self._pending = keep
-            self._n_envelopes = sum(r.n_envelopes for r in keep)
-            self._first_admit_vt = (keep[0].arrival_vt if keep else None)
-        return dropped

@@ -39,13 +39,14 @@ router deduplicates by seq and ``(tenant, flush_seq)``.  Zero admitted
 envelopes lost, none matched twice, no reconciliation pass needed: the
 replay *is* the reconciliation.
 
-**Live migration** crosses the process boundary with the PR 7 legs:
-gate (the source answers ``migrating`` tickets carrying the cutover
-time), drain, export through the snapshot codec; at the cutover virtual
-time the router installs the blob on the destination worker and releases
-the source.  Because a crashed source replays its export deterministically,
-migration needs no catch-up leg here -- the journal replay regenerates
-the drained state exactly.
+**Live migration** crosses the process boundary in four legs: gate
+(the source answers ``migrating`` tickets carrying the cutover time),
+drain, export through the snapshot codec; at the cutover virtual time
+the router installs the blob on the destination worker and releases the
+source.  Because a crashed source replays its export deterministically,
+migration needs no catch-up leg -- the journal replay regenerates the
+drained state exactly.  :meth:`ClusterService.rebalance` begins one
+automatically when a :class:`RebalancePolicy` sees a hot worker.
 
 Wall-clock time appears only in measurements (the ``transport`` stage,
 worker busy seconds, recovery cost) -- never on a decision path.
@@ -53,6 +54,7 @@ worker busy seconds, recovery cost) -- never on a decision path.
 
 from __future__ import annotations
 
+import heapq
 import multiprocessing as mp
 import os
 import queue as queue_mod
@@ -72,13 +74,12 @@ from .service import MatchingService, stable_shard
 from .stages import SERVE_STAGES, StageClock
 from .state import (dumps, export_tenant, install_tenant, loads,
                     restore_service, snapshot_service)
-from .supervisor import bump_epoch_past_stale
 from .wire import (WireError, decode_frame, encode_frame, flush_from_wire,
                    flush_wire, spec_from_wire, spec_wire, ticket_from_wire,
                    ticket_wire)
 
 __all__ = ["ClusterError", "ClusterRecovery", "ClusterMigration",
-           "ClusterService", "run_cluster_workload"]
+           "ClusterService", "RebalancePolicy", "run_cluster_workload"]
 
 
 class ClusterError(RuntimeError):
@@ -110,9 +111,41 @@ class ClusterMigration:
     completed_vt: float | None = None
 
 
+@dataclass(frozen=True)
+class RebalancePolicy:
+    """When :meth:`ClusterService.rebalance` migrates a tenant.
+
+    A worker is *hot* when its tenants carry more than ``hot_fraction``
+    of the windowed message volume (summed per-tenant profiler
+    windows).  The hottest tenant of the hot worker moves to the
+    least-loaded worker -- unless it is the worker's only tenant, which
+    would just relocate the hotspot.
+    """
+
+    hot_fraction: float = 0.6
+    min_flushes: int = 8           # routed flush results before judging
+    cooldown_flushes: int = 16     # routed flush results between moves
+
+    def __post_init__(self) -> None:
+        if not 0.0 < self.hot_fraction < 1.0:
+            raise ValueError("hot_fraction must be in (0, 1)")
+
+
 # ---------------------------------------------------------------------------
 # Worker process
 # ---------------------------------------------------------------------------
+
+def _drop_timers(loop, tenant: str) -> None:
+    """Cancel every deadline timer armed for ``tenant`` in ``loop``.
+
+    Called when a migrated tenant leaves a worker: its timers would
+    otherwise fire there for a tenant the worker no longer hosts.  The
+    drained accumulator travels in the migration blob and is re-armed
+    where it is installed, so nothing pending is lost."""
+    loop._heap = [ev for ev in loop._heap
+                  if not (ev.kind == "flush" and ev.payload[0] == tenant)]
+    heapq.heapify(loop._heap)
+
 
 def _worker_main(init_blob: bytes, cmd_q, resp_q) -> None:
     """One worker process: a single-shard service driven by wire frames.
@@ -195,6 +228,9 @@ def _worker_main(init_blob: bytes, cmd_q, resp_q) -> None:
                     "worker_id": worker_id,
                     "counts": shard.admission.counts(),
                     "windowed_volume": shard.windowed_volume(),
+                    "tenant_volumes": {
+                        name: ts.profiler.profile().n_messages
+                        for name, ts in shard.tenants.items()},
                     "busy_seconds": busy,
                     "stage_seconds": stages.snapshot(),
                     "report": svc.report()})
@@ -215,7 +251,6 @@ def _worker_main(init_blob: bytes, cmd_q, resp_q) -> None:
                 ts = install_tenant(shard, loads(bytes(payload["blob"])))
                 name = ts.spec.name
                 svc._placement[name] = 0
-                bump_epoch_past_stale(svc.loop, name, ts.accumulator)
                 if len(ts.accumulator):
                     svc.loop.schedule(
                         max(ts.accumulator.deadline_vt, svc.now),
@@ -247,6 +282,7 @@ def _worker_main(init_blob: bytes, cmd_q, resp_q) -> None:
                 shard.migrating.pop(tenant, None)
                 shard.tenants.pop(tenant, None)
                 svc._placement.pop(tenant, None)
+                _drop_timers(svc.loop, tenant)
             elif kind == "stop":
                 post("bye", {"worker_id": worker_id})
                 return
@@ -372,6 +408,7 @@ class ClusterService:
         self.recoveries: list[ClusterRecovery] = []
         self.migrations: list[ClusterMigration] = []
         self._pending_migrations: list[ClusterMigration] = []
+        self._last_migration_flush = -(10 ** 9)
         self._awaiting_blob: set[str] = set()
         self._in_maybe_ckpt = False
         self._in_recover = False
@@ -421,12 +458,16 @@ class ClusterService:
         return self
 
     def stop(self) -> None:
-        """Clean shutdown: stop frames, join, terminate stragglers.
+        """Clean shutdown: stop frames, await every ``bye``, join.
 
-        ``_stopping`` suppresses checkpoint requests (nothing may follow
-        a stop frame) and recovery (a worker found dead now would be
-        respawned, replayed, never stopped, and then eat the join
-        timeout -- terminate it instead).
+        A worker cannot exit while its queue feeder thread is still
+        writing replies nobody reads (a checkpoint blob outgrows the
+        pipe buffer), so the router pumps until each live worker's
+        ``bye`` arrives and only then joins.  Stragglers are terminated
+        once ``op_timeout`` passes.  ``_stopping`` suppresses checkpoint
+        requests (nothing may follow a stop frame) and recovery (a
+        worker found dead now would be respawned, replayed and never
+        stopped -- terminate it instead).
         """
         if not self._started or self._stopped:
             self._stopped = True
@@ -439,10 +480,16 @@ class ClusterService:
                     self._post(w, stop_frame)
                 except ClusterError:
                     pass
-        self._pump()
+        deadline = time.monotonic() + self.op_timeout
+        while True:
+            self._pump()
+            if (all(w.stopped or not w.alive() for w in self._workers)
+                    or time.monotonic() > deadline):
+                break
+            time.sleep(0.001)
         for w in self._workers:
             if w.proc is not None:
-                w.proc.join(timeout=5.0)
+                w.proc.join(timeout=max(0.0, deadline - time.monotonic()))
                 if w.proc.is_alive():
                     w.proc.terminate()
                     w.proc.join(timeout=1.0)
@@ -642,7 +689,41 @@ class ClusterService:
                                 to_worker=to_worker, started_vt=self._now,
                                 cutover_vt=cutover_vt, state_bytes=blob)
         self._pending_migrations.append(plan)
+        self._last_migration_flush = len(self.results)
         return plan
+
+    def rebalance(self, policy: RebalancePolicy) -> ClusterMigration | None:
+        """Begin one migration if ``policy`` sees a hot worker.
+
+        Runs the stats barrier, so the judgement reads every routed
+        flush result and each worker's per-tenant profiler windows.
+        Nothing moves while a migration is pending, before
+        ``min_flushes`` results, or within ``cooldown_flushes`` results
+        of the last migration.  Otherwise the hottest tenant of a hot
+        worker (ties broken by name) moves to the coldest worker.
+        """
+        self._require_live()
+        if self._pending_migrations or self.n_workers < 2:
+            return None
+        self.sync()
+        routed = len(self.results)
+        if (routed < policy.min_flushes
+                or routed - self._last_migration_flush
+                < policy.cooldown_flushes):
+            return None
+        loads_ = self.shard_volumes()
+        total = sum(loads_)
+        hot = int(np.argmax(loads_))
+        if total == 0 or loads_[hot] <= policy.hot_fraction * total:
+            return None
+        volumes = self._workers[hot].stats["tenant_volumes"]
+        if len(volumes) < 2:
+            return None   # moving the only tenant just moves the hotspot
+        cold = int(np.argmin(loads_))
+        if cold == hot:
+            return None   # every worker equally loaded
+        mover = max(volumes, key=lambda n: (int(volumes[n]), n))
+        return self.begin_migration(mover, cold)
 
     def _await_tenant_blob(self, tenant: str, src: _WorkerHandle) -> bytes:
         deadline = time.monotonic() + self.op_timeout

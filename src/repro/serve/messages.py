@@ -53,12 +53,12 @@ MIGRATING = "migrating"
 
 
 class ShardCrash(RuntimeError):
-    """Chaos-injected shard failure (see ``repro.serve.supervisor``).
+    """Chaos-injected shard failure (see ``repro.serve.cluster``).
 
     Raised from inside a flush *after* the accumulator has drained --
-    the worst moment: without the supervisor's admission journal, every
-    envelope of the in-flight batch would be lost.  Carries where and
-    when the crash happened so the supervisor can recover.
+    the worst moment: the in-flight batch exists only on the stack.  A
+    cluster worker answers it by SIGKILLing itself; the router then
+    recovers the worker from its checkpoint and frame journal.
     """
 
     def __init__(self, shard_id: int, tenant: str, vt: float) -> None:

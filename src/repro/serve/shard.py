@@ -119,7 +119,7 @@ class Shard:
         #: answered ``migrating`` with the cutover as the retry hint.
         self.migrating: dict[str, float] = {}
         #: chaos hook: raise :class:`ShardCrash` when ``flushes_done``
-        #: reaches this count (armed by the supervisor's kill plan).
+        #: reaches this count (armed by a cluster worker's ``arm_exit``).
         self.fail_at_flush: int | None = None
         #: non-empty flushes this shard has started (crash-hook clock).
         self.flushes_done = 0
@@ -161,9 +161,9 @@ class Shard:
         """Windowed message volume across the shard's tenants.
 
         Summed per-tenant profiler windows -- the load signal behind both
-        the supervisor's hot-spot rebalancer and the cluster bench's
+        the cluster router's hot-spot rebalancer and the cluster bench's
         per-shard imbalance statistic (max/mean of this value across
-        workers), so "hot" means the same thing in every plane.
+        workers), so "hot" means the same thing everywhere.
         """
         return sum(ts.profiler.profile().n_messages
                    for ts in self.tenants.values())

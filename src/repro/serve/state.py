@@ -25,7 +25,7 @@ the data plane already uses:
 
 * **Snapshot builders** (:func:`snapshot_service` /
   :func:`restore_service`, :func:`export_tenant` /
-  :func:`install_tenant`, :func:`restore_shard`) -- a deterministic
+  :func:`install_tenant`) -- a deterministic
   deep capture of everything a bit-identical continuation needs: every
   tenant engine's lattice position and demotion log, accumulator
   contents and epoch counters, profiler windows, autotuner hysteresis,
@@ -33,8 +33,9 @@ the data plane already uses:
   state, and the service's result/ticket ledgers.  Restoring a snapshot
   taken at flush *k* and replaying the remaining stream produces
   outcomes identical to the uninterrupted run (pinned by
-  ``tests/serve/test_state.py``); the same builders power crash
-  recovery and live migration in :mod:`repro.serve.supervisor`.
+  ``tests/serve/test_state.py``); the same builders power the cluster
+  router's worker checkpoints and live tenant migration
+  (:mod:`repro.serve.cluster`).
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .profiler import StreamProfiler
 __all__ = ["SnapshotError", "SNAPSHOT_MAGIC", "SNAPSHOT_VERSION",
            "dumps", "loads", "SessionState",
            "export_tenant", "install_tenant",
-           "snapshot_service", "restore_service", "restore_shard"]
+           "snapshot_service", "restore_service"]
 
 
 # ---------------------------------------------------------------------------
@@ -603,9 +604,7 @@ def snapshot_service(svc) -> bytes:
     """Snapshot a whole :class:`~repro.serve.service.MatchingService`.
 
     The returned bytes are the versioned, CRC-guarded binary form; feed
-    them to :func:`restore_service` (full restore) or decode with
-    :func:`loads` and hand one shard's portion to :func:`restore_shard`
-    (crash recovery).
+    them to :func:`restore_service`.
     """
     return dumps(service_state(svc))
 
@@ -642,35 +641,13 @@ def restore_service(data: bytes, gpu: GPUSpec = PASCAL_GTX1080,
     svc._placement = {str(k): int(v) for k, v in state["placement"].items()}
     svc._next_seq = int(state["next_seq"])
     for sstate in state["shards"]:
-        _restore_shard_from(svc.shards[int(sstate["shard_id"])], sstate)
+        shard = svc.shards[int(sstate["shard_id"])]
+        shard.admission.restore_state(sstate["admission_counters"])
+        shard.migrating = {str(k): float(v)
+                           for k, v in sstate["migrating"].items()}
+        shard.flushes_done = int(sstate["flushes_done"])
+        for tstate in sstate["tenants"].values():
+            install_tenant(shard, tstate)
     svc.results = [_flush_result_from(r) for r in state["results"]]
     svc.tickets = [_ticket_from(t) for t in state["tickets"]]
     return svc
-
-
-def _restore_shard_from(shard, sstate: dict) -> None:
-    shard.admission.restore_state(sstate["admission_counters"])
-    shard.migrating = {str(k): float(v)
-                       for k, v in sstate["migrating"].items()}
-    shard.flushes_done = int(sstate["flushes_done"])
-    shard.tenants = {}
-    for tstate in sstate["tenants"].values():
-        install_tenant(shard, tstate)
-
-
-def restore_shard(svc, shard_id: int, state: dict) -> list[str]:
-    """Rebuild one shard of a live service from a decoded service state.
-
-    The crash-recovery primitive: the rest of the service (clock, loop,
-    other shards, result/ticket ledgers) keeps its *live* state -- only
-    the crashed shard rolls back to the checkpoint.  The supervisor then
-    reconciles the restored accumulators against the surviving flush
-    ledger and replays its admission journal (see
-    :mod:`repro.serve.supervisor`).  Returns the restored tenant names.
-    """
-    sstate = next((s for s in state["shards"]
-                   if int(s["shard_id"]) == shard_id), None)
-    if sstate is None:
-        raise SnapshotError(f"snapshot holds no shard {shard_id}")
-    _restore_shard_from(svc.shards[shard_id], sstate)
-    return list(svc.shards[shard_id].tenants)

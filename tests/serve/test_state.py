@@ -9,7 +9,7 @@ import pytest
 from repro.core.envelope import EnvelopeBatch
 from repro.serve import (AdmissionPolicy, BatchPolicy, MatchingService,
                          SessionState, SnapshotError, TenantSpec,
-                         restore_service, run_supervised, snapshot_service,
+                         restore_service, run_workload, snapshot_service,
                          workload_from_app)
 from repro.serve.state import SNAPSHOT_MAGIC, dumps, loads
 from tests.conftest import permuted_pair
@@ -282,18 +282,17 @@ class TestRetryHints:
         assert t0.retry_after_vt == pytest.approx(2.5)
 
     def test_hints_replay_bit_identically(self):
-        """Same seed, same workload, same supervised run: every ticket
-        -- status, seq, and hint -- must replay identically."""
+        """Same seed, same workload, same run: every ticket -- status,
+        seq, and hint -- must replay identically."""
         workload = workload_from_app("df_amg", rate_rps=4000.0, n_ranks=8,
                                      steps=2, chunk_envelopes=64, seed=2)
 
         def one_run():
-            svc = MatchingService(
-                n_shards=2, seed=9,
+            svc, _ = run_workload(
+                workload, n_shards=2, seed=9,
                 admission=AdmissionPolicy(capacity=256, soft_fraction=0.5))
-            run = run_supervised(workload, svc=svc)
             return [(t.status, t.seq, t.retry_after_vt)
-                    for t in run.tickets]
+                    for t in svc.tickets]
         first, second = one_run(), one_run()
         assert first == second
         assert any(status == "retryable" and hint is not None
