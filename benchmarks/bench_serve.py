@@ -34,8 +34,6 @@ from pathlib import Path
 
 from repro.bench import Table, format_rate, write_result
 from repro.bench.regression import (ServePerfRecord, append_entry,
-                                    load_report, serve_entry_rates,
-                                    serve_regression_failures,
                                     serve_report_path, validate_serve_entry)
 from repro.serve import (BENCHPARK_BENCH_APPS, DEFAULT_BENCH_APPS,
                          BatchPolicy, ServeWorkload, StageClock,
@@ -283,62 +281,10 @@ def test_report_serve_perf():
     assert all(r.matches_per_second > 0 for r in records)
 
 
-def gate_check(base_label: str = "baseline",
-               min_ratio: float = 0.6,
-               entry_label: str | None = None) -> None:
-    """Regression-gate a committed report entry against a base.
-
-    The serve analogue of :func:`repro.bench.regression.regression_failures`:
-    every workload in the gated ``BENCH_serve.json`` entry must sustain
-    at least ``min_ratio`` of the base entry's matches/s.  By default the
-    newest entry is gated; ``entry_label`` pins a specific one (the CI
-    serve job pins the in-process entry so cluster-sweep entries appended
-    later cannot make the gate vacuous -- their workload names do not
-    intersect the base).  Exits nonzero on any failure."""
-    report = load_report(serve_report_path())
-    if not report["entries"]:
-        raise SystemExit("BENCH_serve.json has no entries to gate")
-    if entry_label is None:
-        newest = report["entries"][-1]
-    else:
-        matches = [e for e in report["entries"]
-                   if e["label"] == entry_label]
-        if not matches:
-            raise SystemExit(f"BENCH_serve.json has no entry labeled "
-                             f"{entry_label!r} to gate")
-        newest = matches[-1]
-    failures = serve_regression_failures(report, base_label,
-                                         newest["label"],
-                                         min_ratio=min_ratio)
-    base = serve_entry_rates(next(e for e in report["entries"]
-                                  if e["label"] == base_label))
-    new = serve_entry_rates(newest)
-    for workload in sorted(base.keys() & new.keys()):
-        print(f"  {workload}: {base[workload]:,.0f}/s -> "
-              f"{new[workload]:,.0f}/s "
-              f"({new[workload] / base[workload]:.2f}x)")
-    if failures:
-        lines = [f"  {w}: {ratio:.2f}x of {base_label!r}"
-                 for w, ratio in failures]
-        raise SystemExit(
-            f"serve throughput regressed below {min_ratio}x:\n"
-            + "\n".join(lines))
-    print(f"serve regression gate: ok ({newest['label']!r} vs "
-          f"{base_label!r}, min ratio {min_ratio})")
-
-
 def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--smoke", action="store_true",
                     help="tiny sweep + schema check; no report-file write")
-    ap.add_argument("--gate", nargs="?", const="baseline", default=None,
-                    metavar="BASE_LABEL",
-                    help="no sweep: check the committed report's newest "
-                         "entry against BASE_LABEL (default 'baseline') "
-                         "and exit nonzero on regression")
-    ap.add_argument("--entry", default=None, metavar="LABEL",
-                    help="with --gate: gate the newest entry labeled "
-                         "LABEL instead of the report's newest entry")
     ap.add_argument("--label", default="dev",
                     help="entry label in BENCH_serve.json")
     ap.add_argument("--no-json", action="store_true",
@@ -373,11 +319,6 @@ def main(argv: list[str] | None = None) -> None:
         ap.error("--kill-at requires --recover")
     kill_at = 2 if args.kill_at is None else args.kill_at
 
-    if args.gate is not None:
-        gate_check(base_label=args.gate, entry_label=args.entry)
-        return
-    if args.entry is not None:
-        ap.error("--entry requires --gate")
     if args.smoke:
         if args.recover:
             rec = recovery_smoke(seed=args.seed, kill_at=kill_at)

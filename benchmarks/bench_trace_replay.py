@@ -16,6 +16,7 @@ queue depths and tuple structure, not just on the microbenchmark.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.bench import Table, write_result
@@ -23,6 +24,7 @@ from repro.core.engine import MatchingEngine
 from repro.core.envelope import EnvelopeBatch
 from repro.core.relaxations import RelaxationSet
 from repro.traces import generate_trace
+from repro.traces.events import KIND_BARRIER, KIND_POST, KIND_SEND
 
 #: Apps swept (a runtime-friendly subset covering every suite; the two
 #: deep-queue outliers run at reduced scale).
@@ -50,38 +52,30 @@ def superstep_batches(trace, rank: int):
     Each batch is what the rank's communication kernel faces during one
     BSP superstep: the messages that arrived and the receives it posted.
     """
-    msgs: list[tuple] = []
-    reqs: list[tuple] = []
+    cols = trace.columns
+    kind = cols["kind"]
+    arrived = (kind == KIND_SEND) & (cols["peer"] == rank)
+    posted = (kind == KIND_POST) & (cols["rank"] == rank)
+    # superstep of every row: the number of this rank's barriers before it
+    step = np.cumsum((kind == KIND_BARRIER) & (cols["rank"] == rank))
     batches = []
-
-    def flush():
-        if msgs or reqs:
-            batches.append((
-                EnvelopeBatch(src=[m[0] for m in msgs],
-                              tag=[m[1] for m in msgs],
-                              comm=[m[2] for m in msgs]),
-                EnvelopeBatch(src=[r[0] for r in reqs],
-                              tag=[r[1] for r in reqs],
-                              comm=[r[2] for r in reqs])))
-            msgs.clear()
-            reqs.clear()
-
-    for ev in trace.events:
-        if ev.kind == "send" and ev.dst == rank:
-            msgs.append((ev.rank, ev.tag, ev.comm))
-        elif ev.kind == "post_recv" and ev.rank == rank:
-            reqs.append((ev.src, ev.tag, ev.comm))
-        elif ev.kind == "barrier" and ev.rank == rank:
-            flush()
-    flush()
+    for s in np.unique(step[arrived | posted]).tolist():
+        m = arrived & (step == s)
+        r = posted & (step == s)
+        batches.append((
+            EnvelopeBatch(src=cols["rank"][m], tag=cols["tag"][m],
+                          comm=cols["comm"][m]),
+            EnvelopeBatch(src=cols["peer"][r], tag=cols["tag"][r],
+                          comm=cols["comm"][r])))
     return batches
 
 
 def replay_app(app: str, scale: dict) -> dict[str, float]:
     """Total simulated matching seconds per relaxation config."""
     trace = generate_trace(app, **scale)
-    uses_wildcards = any(e.src == -1 or e.tag == -1
-                         for e in trace.recv_posts())
+    posts = trace.columns["kind"] == KIND_POST
+    uses_wildcards = bool(np.any((trace.columns["peer"][posts] == -1)
+                                 | (trace.columns["tag"][posts] == -1)))
     batches = superstep_batches(trace, rank=1)
     out: dict[str, float] = {}
     for label, rel in CONFIGS.items():

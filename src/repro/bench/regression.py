@@ -44,8 +44,6 @@ __all__ = [
     "load_report",
     "regression_failures",
     "run_suite",
-    "serve_entry_rates",
-    "serve_regression_failures",
     "serve_report_path",
     "speedup",
     "time_match",
@@ -272,12 +270,6 @@ def serve_report_path() -> Path:
     return Path(__file__).resolve().parents[3] / "BENCH_serve.json"
 
 
-def serve_entry_rates(entry: dict) -> dict[str, float]:
-    """``{workload: matches_per_second}`` for one serve report entry."""
-    return {r["workload"]: r["matches_per_second"]
-            for r in entry["records"]}
-
-
 def validate_serve_entry(entry: dict) -> list[str]:
     """Schema problems in one serve report entry (empty list = valid)."""
     problems = []
@@ -358,30 +350,6 @@ def validate_serve_entry(entry: dict) -> list[str]:
     if not entry.get("records"):
         problems.append("entry has no records")
     return problems
-
-
-def serve_regression_failures(report: dict, base_label: str,
-                              new_label: str, min_ratio: float = 0.6,
-                              ) -> list[tuple[str, float]]:
-    """Serve workloads where ``new`` regressed below ``min_ratio`` x base.
-
-    The serve-layer analogue of :func:`regression_failures`: compares
-    sustained matches/s per workload between two labeled
-    ``BENCH_serve.json`` entries and returns failing
-    ``(workload, ratio)`` pairs, worst first.  Same 0.6 default: host
-    timing is noisy, but a near-2x slowdown is a real regression.
-    """
-    if not 0 < min_ratio <= 1.0:
-        raise ValueError("min_ratio must be in (0, 1]")
-    base = serve_entry_rates(_entry(report, base_label))
-    new = serve_entry_rates(_entry(report, new_label))
-    failures = []
-    for workload in sorted(base.keys() & new.keys()):
-        ratio = new[workload] / base[workload]
-        if ratio < min_ratio:
-            failures.append((workload, ratio))
-    failures.sort(key=lambda f: f[1])
-    return failures
 
 
 def entry_rates(entry: dict) -> dict[tuple[str, int], float]:

@@ -8,12 +8,11 @@ whether statically partitioned queues stay balanced (Section VI-A).
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
 from dataclasses import dataclass
 
 import numpy as np
 
-from .events import Trace
+from .events import KIND_POST, KIND_SEND, Trace
 
 __all__ = ["TableIRow", "analyze", "rank_usage_uniformity",
            "tag_distribution", "normalized_entropy"]
@@ -66,33 +65,38 @@ class TableIRow:
 
 def analyze(trace: Trace) -> TableIRow:
     """Compute the Table I row for one trace."""
-    sends = trace.sends()
-    posts = trace.recv_posts()
-    src_wc = sum(1 for p in posts if p.src == -1)
-    tag_wc = sum(1 for p in posts if p.tag == -1)
-    comms = {e.comm for e in sends} | {p.comm for p in posts}
-    peers: dict[int, set[int]] = defaultdict(set)
-    for s in sends:
-        peers[s.rank].add(s.dst)
-        peers[s.dst].add(s.rank)
-    peer_counts = np.array([len(peers[r]) for r in range(trace.n_ranks)])
-    tags = {s.tag for s in sends}
-    max_tag = max(tags) if tags else 0
-    tag_counts = Counter(s.tag for s in sends)
+    cols = trace.columns
+    send = cols["kind"] == KIND_SEND
+    post = cols["kind"] == KIND_POST
+    src, dst = cols["rank"][send], cols["peer"][send]
+    n = trace.n_ranks
+    # a rank's peers: every rank it sends to or receives from
+    links = np.unique(np.concatenate([src * n + dst, dst * n + src]))
+    peer_counts = np.bincount(links // n, minlength=n)
+    tags, tag_counts = _first_seen_counts(cols["tag"][send])
     return TableIRow(
         app=trace.app,
-        n_ranks=trace.n_ranks,
-        sends=len(sends),
-        src_wildcards=src_wc,
-        tag_wildcards=tag_wc,
-        n_communicators=len(comms),
-        peers_mean=float(peer_counts.mean()) if peer_counts.size else 0.0,
-        peers_max=int(peer_counts.max()) if peer_counts.size else 0,
-        n_tags=len(tags),
-        tag_bits_needed=int(max_tag).bit_length(),
+        n_ranks=n,
+        sends=int(src.size),
+        src_wildcards=int(np.count_nonzero(cols["peer"][post] == -1)),
+        tag_wildcards=int(np.count_nonzero(cols["tag"][post] == -1)),
+        n_communicators=int(np.unique(cols["comm"][send | post]).size),
+        peers_mean=float(peer_counts.mean()),
+        peers_max=int(peer_counts.max()),
+        n_tags=int(tags.size),
+        tag_bits_needed=int(tags.max()).bit_length() if tags.size else 0,
         rank_usage_cov=rank_usage_uniformity(trace),
-        tag_entropy=normalized_entropy(list(tag_counts.values())),
+        tag_entropy=normalized_entropy(tag_counts),
     )
+
+
+def _first_seen_counts(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values and their counts, in order of first appearance
+    (the order float sums over the counts are taken in)."""
+    uniq, first, counts = np.unique(values, return_index=True,
+                                    return_counts=True)
+    order = np.argsort(first)
+    return uniq[order], counts[order]
 
 
 def rank_usage_uniformity(trace: Trace) -> float:
@@ -104,11 +108,11 @@ def rank_usage_uniformity(trace: Trace) -> float:
     communication behavior."  A near-zero CoV is uniform (queues balance
     under static partitioning); a large CoV is irregular.
     """
-    counts = Counter(s.dst for s in trace.sends())
-    if not counts:
+    cols = trace.columns
+    dst = cols["peer"][cols["kind"] == KIND_SEND]
+    if not dst.size:
         return 0.0
-    arr = np.array([counts.get(r, 0) for r in range(trace.n_ranks)],
-                   dtype=float)
+    arr = np.bincount(dst, minlength=trace.n_ranks).astype(float)
     mean = arr.mean()
     return float(arr.std() / mean) if mean else 0.0
 
@@ -136,4 +140,6 @@ def normalized_entropy(counts) -> float:
 
 def tag_distribution(trace: Trace) -> dict[int, int]:
     """Messages per tag value (the raw distribution behind the entropy)."""
-    return dict(Counter(s.tag for s in trace.sends()))
+    cols = trace.columns
+    tags, counts = _first_seen_counts(cols["tag"][cols["kind"] == KIND_SEND])
+    return dict(zip(tags.tolist(), counts.tolist()))

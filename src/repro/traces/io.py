@@ -21,32 +21,57 @@ import json
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .events import BarrierEvent, RecvPostEvent, SendEvent, Trace
+from .events import COLUMNS, KIND_BARRIER, KIND_POST, KIND_SEND, Trace
 
 __all__ = ["save_trace", "load_trace", "dumps", "loads"]
 
 _FORMAT_VERSION = 1
 
+_REQUIRED = object()
+
+#: the integer columns, in the order a row carries them after ``kind``
+_INT_COLUMNS = tuple(COLUMNS)[1:-1]
+
+#: record kind -> (kind code, per integer column the record's key and
+#: the value when the key is absent; key ``None`` = not recorded)
+_RECORDS = {
+    "s": (KIND_SEND, (("r", _REQUIRED), ("d", _REQUIRED), ("g", _REQUIRED),
+                      ("c", 0), ("b", 8))),
+    "p": (KIND_POST, (("r", _REQUIRED), ("s", _REQUIRED), ("g", _REQUIRED),
+                      ("c", 0), (None, 0))),
+    "b": (KIND_BARRIER, (("r", _REQUIRED), (None, 0), (None, 0), (None, 0),
+                         (None, 0))),
+}
+_KIND_RECORDS = {code: (k, fields) for k, (code, fields) in _RECORDS.items()}
+
 
 def _records(trace: Trace) -> Iterator[dict]:
     yield {"k": "h", "v": _FORMAT_VERSION, "app": trace.app,
            "ranks": trace.n_ranks, "meta": trace.meta}
-    for ev in trace.events:
-        if ev.kind == "send":
-            yield {"k": "s", "t": ev.time, "r": ev.rank, "d": ev.dst,
-                   "g": ev.tag, "c": ev.comm, "b": ev.nbytes}
-        elif ev.kind == "post_recv":
-            yield {"k": "p", "t": ev.time, "r": ev.rank, "s": ev.src,
-                   "g": ev.tag, "c": ev.comm}
-        elif ev.kind == "barrier":
-            yield {"k": "b", "t": ev.time, "r": ev.rank}
-        else:  # pragma: no cover - schema guard
-            raise ValueError(f"unknown event kind {ev.kind!r}")
+    for kind, *ints, time in trace.events:
+        k, fields = _KIND_RECORDS[kind]
+        rec = {"k": k, "t": time}
+        rec.update((key, value) for (key, _), value in zip(fields, ints)
+                   if key is not None)
+        yield rec
+
+
+def _field(rec: dict, key: str, lineno: int, default=_REQUIRED,
+           types: tuple = (int,)):
+    """``rec[key]`` (or ``default``), which must be one of ``types``."""
+    value = rec.get(key, default)
+    if value is _REQUIRED:
+        raise ValueError(f"line {lineno}: missing field {key!r}")
+    if type(value) not in types:
+        raise ValueError(f"line {lineno}: field {key!r} must be "
+                         f"{' or '.join(t.__name__ for t in types)}, "
+                         f"got {value!r}")
+    return value
 
 
 def _parse(lines: Iterable[str]) -> Trace:
     header: dict | None = None
-    events: list = []
+    cols: dict[str, list] = {name: [] for name in COLUMNS}
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -55,6 +80,8 @@ def _parse(lines: Iterable[str]) -> Trace:
             rec = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"line {lineno}: invalid JSON: {exc}") from None
+        if not isinstance(rec, dict):
+            raise ValueError(f"line {lineno}: record is not a JSON object")
         kind = rec.get("k")
         if kind == "h":
             if header is not None:
@@ -62,26 +89,23 @@ def _parse(lines: Iterable[str]) -> Trace:
             if rec.get("v") != _FORMAT_VERSION:
                 raise ValueError(
                     f"unsupported trace format version {rec.get('v')!r}")
-            header = rec
+            header = {"app": _field(rec, "app", lineno, types=(str,)),
+                      "n_ranks": _field(rec, "ranks", lineno),
+                      "meta": rec.get("meta")}
         elif header is None:
             raise ValueError(f"line {lineno}: event before header")
-        elif kind == "s":
-            events.append(SendEvent(time=rec["t"], rank=rec["r"],
-                                    dst=rec["d"], tag=rec["g"],
-                                    comm=rec.get("c", 0),
-                                    nbytes=rec.get("b", 8)))
-        elif kind == "p":
-            events.append(RecvPostEvent(time=rec["t"], rank=rec["r"],
-                                        src=rec["s"], tag=rec["g"],
-                                        comm=rec.get("c", 0)))
-        elif kind == "b":
-            events.append(BarrierEvent(time=rec["t"], rank=rec["r"]))
+        elif kind in _RECORDS:
+            code, fields = _RECORDS[kind]
+            cols["kind"].append(code)
+            cols["time"].append(_field(rec, "t", lineno, types=(int, float)))
+            for name, (key, default) in zip(_INT_COLUMNS, fields):
+                cols[name].append(default if key is None
+                                  else _field(rec, key, lineno, default))
         else:
             raise ValueError(f"line {lineno}: unknown record kind {kind!r}")
     if header is None:
         raise ValueError("empty trace file (no header)")
-    return Trace(app=header["app"], n_ranks=header["ranks"], events=events,
-                 meta=header.get("meta"))
+    return Trace(columns=cols, **header)
 
 
 def dumps(trace: Trace) -> str:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .events import Trace
+from .events import KIND_POST, KIND_SEND, Trace
 
 __all__ = ["QueueDepthStats", "RankReplay", "replay", "figure2_summary"]
 
@@ -170,11 +170,11 @@ def replay(trace: Trace) -> list[RankReplay]:
     pair ordering, the property MPI matching needs.
     """
     ranks = [RankReplay(rank=r) for r in range(trace.n_ranks)]
-    for ev in trace.events:
-        if ev.kind == "send":
-            ranks[ev.dst].on_message(ev.rank, ev.tag, ev.comm)
-        elif ev.kind == "post_recv":
-            ranks[ev.rank].on_post(ev.src, ev.tag, ev.comm)
+    for kind, rank, peer, tag, comm, _, _ in trace.events:
+        if kind == KIND_SEND:
+            ranks[peer].on_message(rank, tag, comm)
+        elif kind == KIND_POST:
+            ranks[rank].on_post(peer, tag, comm)
         # barriers carry no queue traffic
     return ranks
 

@@ -38,6 +38,7 @@ from repro.core.list_matching import ListMatcher
 from repro.core.matrix_matching import MatrixMatcher
 from repro.core.partitioned import PartitionedMatcher
 from repro.core.verify import check_mpi_ordering, check_relaxed, reference_match
+from repro.traces.events import KIND_POST, KIND_SEND
 from repro.traces.generator import generate_trace
 
 SEEDS = (0, 1, 2, 3, 4)
@@ -113,14 +114,13 @@ def _from_trace(seed, app):
     become the unexpected-message queue (src = sending rank), receive
     posts become the request queue (wildcards as the app posted them)."""
     trace = generate_trace(app, n_ranks=8, seed=seed)
-    sends = trace.sends()[:TRACE_EVENT_CAP]
-    posts = trace.recv_posts()[:TRACE_EVENT_CAP]
-    msgs = EnvelopeBatch(src=[e.rank for e in sends],
-                         tag=[e.tag for e in sends],
-                         comm=[e.comm for e in sends])
-    reqs = EnvelopeBatch(src=[e.src for e in posts],
-                         tag=[e.tag for e in posts],
-                         comm=[e.comm for e in posts])
+    cols = trace.columns
+    sends = np.flatnonzero(cols["kind"] == KIND_SEND)[:TRACE_EVENT_CAP]
+    posts = np.flatnonzero(cols["kind"] == KIND_POST)[:TRACE_EVENT_CAP]
+    msgs = EnvelopeBatch(src=cols["rank"][sends], tag=cols["tag"][sends],
+                         comm=cols["comm"][sends])
+    reqs = EnvelopeBatch(src=cols["peer"][posts], tag=cols["tag"][posts],
+                         comm=cols["comm"][posts])
     return msgs, reqs
 
 

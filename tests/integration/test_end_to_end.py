@@ -15,6 +15,7 @@ from repro import (EnvelopeBatch, GPU, MatchingEngine, RelaxationSet,
 from repro.core.verify import check_mpi_ordering, check_relaxed
 from repro.mpi import Cluster, Communicator, alltoall, barrier
 from repro.traces import generate_trace
+from repro.traces.events import KIND_POST, KIND_SEND
 
 EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
@@ -25,16 +26,13 @@ class TestTraceToMatcher:
     def _batches_for_rank(self, trace, rank: int):
         """Messages arriving at `rank` and the receives it posts, in
         trace order, as envelope batches."""
-        msgs = [(e.rank, e.tag, e.comm) for e in trace.sends()
-                if e.dst == rank]
-        posts = [(e.src, e.tag, e.comm) for e in trace.recv_posts()
-                 if e.rank == rank]
-        mb = EnvelopeBatch(src=[m[0] for m in msgs],
-                           tag=[m[1] for m in msgs],
-                           comm=[m[2] for m in msgs])
-        rb = EnvelopeBatch(src=[p[0] for p in posts],
-                           tag=[p[1] for p in posts],
-                           comm=[p[2] for p in posts])
+        cols = trace.columns
+        arrived = (cols["kind"] == KIND_SEND) & (cols["peer"] == rank)
+        posted = (cols["kind"] == KIND_POST) & (cols["rank"] == rank)
+        mb = EnvelopeBatch(src=cols["rank"][arrived], tag=cols["tag"][arrived],
+                           comm=cols["comm"][arrived])
+        rb = EnvelopeBatch(src=cols["peer"][posted], tag=cols["tag"][posted],
+                           comm=cols["comm"][posted])
         return mb, rb
 
     @pytest.mark.parametrize("app", ["exmatex_lulesh", "df_partisn",
@@ -110,13 +108,11 @@ class TestClusterUnderRelaxations:
         cluster = Cluster(8, ring_capacity=64)
         trace = generate_trace("cesar_nekbone", n_ranks=8, steps=1)
         posted = []
-        for ev in trace.events:
-            if ev.kind == "send":
-                cluster.rank(ev.rank).isend(ev.dst, None, tag=ev.tag,
-                                            comm=ev.comm)
-            elif ev.kind == "post_recv":
-                posted.append(cluster.rank(ev.rank).irecv(
-                    ev.src, ev.tag, ev.comm))
+        for kind, rank, peer, tag, comm, _, _ in trace.events:
+            if kind == KIND_SEND:
+                cluster.rank(rank).isend(peer, None, tag=tag, comm=comm)
+            elif kind == KIND_POST:
+                posted.append(cluster.rank(rank).irecv(peer, tag, comm))
         assert cluster.network.held_messages > 0  # flood exceeded credits
         cluster.drain()
         assert all(r.test() for r in posted)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.bench.regression import (ServePerfRecord, append_entry,
-                                    serve_entry_rates, validate_serve_entry)
+                                    validate_serve_entry)
 from repro.serve import (DEFAULT_BENCH_APPS, busiest_rank, merge_workloads,
                          run_workload, tenant_stream_from_trace,
                          workload_from_app)
@@ -100,8 +100,8 @@ class TestRecordSchema:
                               label="test", path=path)
         entry = report["entries"][-1]
         assert validate_serve_entry(entry) == []
-        assert serve_entry_rates(entry) == {"df_amg": 4000.0,
-                                            "df_minife": 4000.0}
+        assert [r["workload"] for r in entry["records"]] == \
+            ["df_amg", "df_minife"]
 
     def test_validation_flags_missing_fields(self):
         assert validate_serve_entry({"label": "x"})  # no timestamp/records

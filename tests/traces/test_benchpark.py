@@ -10,9 +10,11 @@ match-once pin.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.traces.apps.benchpark import pattern_summary
+from repro.traces.events import KIND_POST, KIND_SEND
 from repro.traces.generator import generate_trace
 
 BP_APPS = ("bp_amg2023", "bp_kripke", "bp_laghos")
@@ -21,6 +23,11 @@ BP_APPS = ("bp_amg2023", "bp_kripke", "bp_laghos")
 def summary(app: str, **kw):
     trace = generate_trace(app, seed=1, **kw)
     return trace, pattern_summary(trace)
+
+
+def column(trace, name: str, kind: int = KIND_SEND) -> np.ndarray:
+    """One column's values on the rows of one kind."""
+    return trace.columns[name][trace.columns["kind"] == kind]
 
 
 class TestPhaseStructure:
@@ -42,7 +49,7 @@ class TestPhaseStructure:
         trace = generate_trace("exmatex_lulesh", n_ranks=8, steps=2, seed=0)
         out = pattern_summary(trace)
         assert list(out["phases"]) == ["all"]
-        assert out["phases"]["all"]["sends"] == len(trace.sends())
+        assert out["phases"]["all"]["sends"] == column(trace, "rank").size
 
 
 class TestPatternContracts:
@@ -67,21 +74,20 @@ class TestPatternContracts:
 
     def test_kripke_eight_octant_tags(self):
         trace, _ = summary("bp_kripke")
-        assert {e.tag for e in trace.sends()} == set(range(8))
+        assert set(column(trace, "tag").tolist()) == set(range(8))
 
     def test_laghos_two_tags_fixed_peers(self):
         trace, out = summary("bp_laghos")
-        assert {e.tag for e in trace.sends()} == {0, 1}
+        assert set(column(trace, "tag").tolist()) == {0, 1}
         ts = out["phases"]["timestep"]
         assert ts["msgs_per_tuple_mean"] >= 10
         # the halo is fixed: every declared pair carries exactly the
         # same traffic (2 force + 1 velocity per step), so the per-pair
         # distribution is perfectly uniform
         assert ts["msgs_per_pair_mean"] == ts["msgs_per_pair_max"]
-        counts: dict[tuple[int, int], int] = {}
-        for e in trace.sends():
-            counts[(e.rank, e.dst)] = counts.get((e.rank, e.dst), 0) + 1
-        assert len(set(counts.values())) == 1
+        pairs = np.stack([column(trace, "rank"), column(trace, "peer")])
+        _, counts = np.unique(pairs, axis=1, return_counts=True)
+        assert len(set(counts.tolist())) == 1
 
     @pytest.mark.parametrize("app", BP_APPS)
     def test_no_wildcards_anywhere(self, app):
@@ -90,9 +96,8 @@ class TestPatternContracts:
         channels."""
         from repro.core.envelope import ANY_SOURCE, ANY_TAG
         trace, _ = summary(app)
-        posts = trace.recv_posts()
-        assert all(e.src != ANY_SOURCE for e in posts)
-        assert all(e.tag != ANY_TAG for e in posts)
+        assert not np.any(column(trace, "peer", KIND_POST) == ANY_SOURCE)
+        assert not np.any(column(trace, "tag", KIND_POST) == ANY_TAG)
 
     @pytest.mark.parametrize("app", BP_APPS)
     def test_summary_is_deterministic(self, app):

@@ -21,8 +21,8 @@ from repro.traces import app_names, dumps, generate_trace
 from repro.traces.apps.base import (TraceBuilder, gather_flood, grid_dims,
                                    grid_neighbors, pair_array,
                                    random_neighbors, skewed_neighbors)
-from repro.traces.events import (COLUMNS, KIND_POST, KIND_SEND, BarrierEvent,
-                                 RecvPostEvent, SendEvent)
+from repro.traces.events import COLUMNS, KIND_POST, KIND_SEND
+from tests.traces.rows import barrier, post, send
 
 #: SHA-256 over every column's bytes in :data:`COLUMNS` order, keyed by
 #: ``(app, n_ranks, steps, seed)`` (``None`` = the model's default).
@@ -72,31 +72,31 @@ GOLDEN_DUMPS = {
     "bp_laghos": "fa98fbf769f9676694fec184e080222cec0be27fd97a195a88c37ff957b757fd",
 }
 
-#: Complete event lists at ``n_ranks=2, steps=1, seed=0``.
-GOLDEN_EVENTS = {
+#: Complete row lists at ``n_ranks=2, steps=1, seed=0``.
+GOLDEN_ROWS = {
     # halo exchange, then the wildcard gather: one send, one ANY_SOURCE post
     "df_minife": [
-        RecvPostEvent(time=1.0, rank=1, src=0, tag=0, comm=0),
-        RecvPostEvent(time=2.0, rank=0, src=1, tag=0, comm=0),
-        SendEvent(time=3.0, rank=1, dst=0, tag=0, comm=0, nbytes=8),
-        SendEvent(time=4.0, rank=0, dst=1, tag=0, comm=0, nbytes=8),
-        SendEvent(time=5.0, rank=1, dst=0, tag=1, comm=0, nbytes=8),
-        RecvPostEvent(time=6.0, rank=0, src=-1, tag=1, comm=0),
-        BarrierEvent(time=7.0, rank=0),
-        BarrierEvent(time=7.0, rank=1),
+        post(1.0, rank=1, src=0, tag=0),
+        post(2.0, rank=0, src=1, tag=0),
+        send(3.0, rank=1, dst=0, tag=0),
+        send(4.0, rank=0, dst=1, tag=0),
+        send(5.0, rank=1, dst=0, tag=1),
+        post(6.0, rank=0, src=-1, tag=1),
+        barrier(7.0, rank=0),
+        barrier(7.0, rank=1),
     ],
     # two messages per pair, 60% pre-posted
     "cesar_crystalrouter": [
-        RecvPostEvent(time=1.0, rank=0, src=1, tag=0, comm=0),
-        RecvPostEvent(time=2.0, rank=1, src=0, tag=0, comm=0),
-        SendEvent(time=3.0, rank=1, dst=0, tag=0, comm=0, nbytes=8),
-        SendEvent(time=4.0, rank=1, dst=0, tag=0, comm=0, nbytes=8),
-        SendEvent(time=5.0, rank=0, dst=1, tag=0, comm=0, nbytes=8),
-        SendEvent(time=6.0, rank=0, dst=1, tag=0, comm=0, nbytes=8),
-        RecvPostEvent(time=7.0, rank=1, src=0, tag=0, comm=0),
-        RecvPostEvent(time=8.0, rank=0, src=1, tag=0, comm=0),
-        BarrierEvent(time=9.0, rank=0),
-        BarrierEvent(time=9.0, rank=1),
+        post(1.0, rank=0, src=1, tag=0),
+        post(2.0, rank=1, src=0, tag=0),
+        send(3.0, rank=1, dst=0, tag=0),
+        send(4.0, rank=1, dst=0, tag=0),
+        send(5.0, rank=0, dst=1, tag=0),
+        send(6.0, rank=0, dst=1, tag=0),
+        post(7.0, rank=1, src=0, tag=0),
+        post(8.0, rank=0, src=1, tag=0),
+        barrier(9.0, rank=0),
+        barrier(9.0, rank=1),
     ],
 }
 
@@ -127,34 +127,24 @@ class TestBitIdentity:
         text = dumps(generate_trace(app, n_ranks=8, steps=2, seed=1))
         assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_DUMPS[app]
 
-    @pytest.mark.parametrize("app", sorted(GOLDEN_EVENTS))
+    @pytest.mark.parametrize("app", sorted(GOLDEN_ROWS))
     def test_event_list_matches_golden(self, app):
         trace = generate_trace(app, n_ranks=2, steps=1, seed=0)
-        events = list(trace.events)
-        assert events == GOLDEN_EVENTS[app]
-        assert [type(e) for e in events] == \
-            [type(e) for e in GOLDEN_EVENTS[app]]
+        assert list(trace.events) == GOLDEN_ROWS[app]
 
 
 class TestEventView:
-    def test_len_index_slice_iter_agree(self):
-        trace = generate_trace("df_minife", n_ranks=8, steps=2, seed=1)
-        view = trace.events
-        assert len(view) == len(trace) == trace.columns["kind"].size
-        listed = list(view)
-        assert view[0] == listed[0] and view[-1] == listed[-1]
-        assert view[5:40:3] == listed[5:40:3]
-        with pytest.raises(IndexError):
-            view[len(view)]
+    """``trace.events``: the rows as tuples of Python scalars."""
 
-    def test_filters_select_by_kind(self):
-        trace = generate_trace("df_minife", n_ranks=8, steps=2, seed=1)
-        listed = list(trace.events)
-        assert trace.sends() == [e for e in listed if e.kind == "send"]
-        assert trace.recv_posts() == \
-            [e for e in listed if e.kind == "post_recv"]
-        assert trace.barriers() == [e for e in listed if e.kind == "barrier"]
-        assert trace.for_rank(3) == [e for e in listed if e.rank == 3]
+    def test_len_and_iteration_agree_with_the_columns(self):
+        trace = generate_trace("df_amg", n_ranks=27, steps=2, seed=1)
+        rows = trace.events
+        assert len(rows) == len(trace) == trace.columns["kind"].size
+        assert len(trace) > 3 * 4096   # several conversion chunks
+        listed = list(rows)
+        assert listed == list(zip(*(trace.columns[name].tolist()
+                                    for name in COLUMNS)))
+        assert list(rows) == listed   # a fresh pass, nothing consumed
 
     def test_columns_are_read_only(self):
         trace = generate_trace("df_snap", n_ranks=8, steps=1)
@@ -188,7 +178,9 @@ class TestExchangeContract:
         assert all(a.dtype == np.int64 and a.shape == (6,)
                    for a in seen.values())
         assert seen["k"].tolist() == [0, 1] * 3
-        assert sorted((e.rank, e.tag) for e in trace.sends()) == \
+        send_rows = trace.columns["kind"] == KIND_SEND
+        assert sorted(zip(trace.columns["rank"][send_rows].tolist(),
+                          trace.columns["tag"][send_rows].tolist())) == \
             [(0, 0), (0, 1), (1, 10), (1, 11), (2, 20), (2, 21)]
 
     def test_wrong_length_raises(self):
@@ -211,10 +203,9 @@ class TestExchangeContract:
         b.barrier(3)
         assert len(b) == 5
         trace = b.build("x", n_ranks=3)
-        assert [e.time for e in trace] == [1.0, 2.0, 3.0, 3.0, 3.0]
-        assert list(trace)[:2] == [
-            SendEvent(time=1.0, rank=0, dst=1, tag=0, comm=0, nbytes=8),
-            RecvPostEvent(time=2.0, rank=1, src=0, tag=0, comm=0)]
+        assert list(trace.events) == [
+            send(1.0, 0, 1, 0), post(2.0, 1, 0, 0),
+            barrier(3.0, 0), barrier(3.0, 1), barrier(3.0, 2)]
 
     def test_block_after_exchange_continues_the_clock(self):
         b = TraceBuilder()
@@ -331,16 +322,15 @@ class TestLoopReferences:
         for dst in range(n):
             srcs = [s for s in range(n) if s != dst]
             per_src = max(1, bursts[dst] // len(srcs))
-            want += [SendEvent(0, s, dst, k % 3, 1, 8)
+            want += [send(0, s, dst, k % 3, 1)
                      for s in srcs for k in range(per_src)]
-            want += [RecvPostEvent(0, dst, s, k % 3, 1)
+            want += [post(0, dst, s, k % 3, 1)
                      for s in srcs for k in range(per_src)]
         b = TraceBuilder()
         gather_flood(b, bursts, tag_of=lambda k: k % 3, comm=1)
-        got = list(b.build("x", n_ranks=n))
-        assert [e.time for e in got] == list(range(1, len(want) + 1))
-        assert [(type(e), {**vars(e), "time": 0}) for e in got] == \
-            [(type(e), vars(e)) for e in want]
+        got = list(b.build("x", n_ranks=n).events)
+        assert [row[-1] for row in got] == list(range(1, len(want) + 1))
+        assert [row[:-1] for row in got] == [row[:-1] for row in want]
 
 
 def test_generation_peak_is_about_one_trace():

@@ -7,88 +7,62 @@ import pytest
 
 from repro.traces.analyzer import (analyze, normalized_entropy,
                                    rank_usage_uniformity, tag_distribution)
-from repro.traces.events import (BarrierEvent, RecvPostEvent, SendEvent,
-                                 Trace, columns_from_events)
+from repro.traces.events import Trace
 from repro.traces.queue_replay import (RankReplay, figure2_summary, replay,
                                        _IndexedQueue)
 from repro.traces.uniqueness import per_destination_shares, tuple_uniqueness
-
-
-def T(events, n_ranks=2, app="test"):
-    return Trace(app=app, n_ranks=n_ranks, events=events)
-
-
-def S(t, rank, dst, tag, comm=0):
-    return SendEvent(time=t, rank=rank, dst=dst, tag=tag, comm=comm)
-
-
-def P(t, rank, src, tag, comm=0):
-    return RecvPostEvent(time=t, rank=rank, src=src, tag=tag, comm=comm)
-
-
-def T_cols(events, n_ranks=2, app="test"):
-    """The same trace, built from columns instead of event objects."""
-    return Trace(app=app, n_ranks=n_ranks,
-                 columns=columns_from_events(events))
+from tests.traces.rows import barrier, columns
+from tests.traces.rows import post as P
+from tests.traces.rows import send as S
+from tests.traces.rows import trace_of as T
 
 
 class TestTrace:
     def test_validation(self):
-        # every check fires whether the trace is built from events or
-        # from columns
-        for make in (T, T_cols):
-            with pytest.raises(ValueError, match="time order"):
-                make([S(2, 0, 1, 0), S(1, 0, 1, 0)])  # time goes backwards
-            with pytest.raises(ValueError, match="rank 5"):
-                make([S(1, 5, 1, 0)])  # rank out of range
-            with pytest.raises(ValueError, match="dst 9"):
-                make([S(1, 0, 9, 0)])  # dst out of range
-            with pytest.raises(ValueError):
-                make([], n_ranks=0)
-            # the first offending row is reported, whatever the check
-            with pytest.raises(ValueError, match="dst 7"):
-                make([S(1, 0, 7, 0), S(2, 4, 1, 0)])
-            # a post's src is not range-checked (it may be a wildcard)
-            assert len(make([P(1, 0, -1, 0)])) == 1
+        with pytest.raises(ValueError, match="time order"):
+            T([S(2, 0, 1, 0), S(1, 0, 1, 0)])  # time goes backwards
+        with pytest.raises(ValueError, match="rank 5"):
+            T([S(1, 5, 1, 0)])  # rank out of range
+        with pytest.raises(ValueError, match="dst 9"):
+            T([S(1, 0, 9, 0)])  # dst out of range
+        with pytest.raises(ValueError):
+            T([], n_ranks=0)
+        # the first offending row is reported, whatever the check
+        with pytest.raises(ValueError, match="dst 7"):
+            T([S(1, 0, 7, 0), S(2, 4, 1, 0)])
+        # a post's src is not range-checked (it may be a wildcard)
+        assert len(T([P(1, 0, -1, 0)])) == 1
 
     def test_unknown_kind_rejected_before_the_int8_cast(self):
-        cols = columns_from_events([S(1, 0, 1, 0), S(2, 1, 0, 0),
-                                    S(3, 0, 1, 0)])
+        cols = columns([S(1, 0, 1, 0), S(2, 1, 0, 0), S(3, 0, 1, 0)])
         # 258 would wrap to 2 (a barrier) under the int8 cast
         for kind in (np.array([0, 258, 3]), [0, 258, 3]):
             with pytest.raises(ValueError, match="kind 258"):
-                Trace(app="x", n_ranks=2, columns={**cols, "kind": kind})
+                Trace("x", 2, {**cols, "kind": kind})
         with pytest.raises(ValueError, match="kind 1.5"):
-            Trace(app="x", n_ranks=2,
-                  columns={**cols, "kind": np.array([0.0, 1.5, 2.0])})
+            Trace("x", 2, {**cols, "kind": np.array([0.0, 1.5, 2.0])})
         # the lowest offending row is named, whatever the check
         with pytest.raises(ValueError, match="kind -1"):
-            Trace(app="x", n_ranks=2,
-                  columns={**cols, "kind": np.array([0, -1, 0]),
+            Trace("x", 2, {**cols, "kind": np.array([0, -1, 0]),
                            "rank": np.array([0, 1, 7])})
         with pytest.raises(ValueError, match="rank 7"):
-            Trace(app="x", n_ranks=2,
-                  columns={**cols, "kind": np.array([0, 0, 3]),
+            Trace("x", 2, {**cols, "kind": np.array([0, 0, 3]),
                            "rank": np.array([0, 7, 0])})
 
     def test_malformed_columns_rejected(self):
-        cols = columns_from_events([S(1, 0, 1, 0), S(2, 1, 0, 0)])
+        cols = columns([S(1, 0, 1, 0), S(2, 1, 0, 0)])
         with pytest.raises(ValueError, match="equal length"):
-            Trace(app="x", n_ranks=2, columns={**cols, "tag": [0]})
+            Trace("x", 2, {**cols, "tag": [0]})
         with pytest.raises(ValueError, match="columns must be"):
-            Trace(app="x", n_ranks=2,
-                  columns={k: v for k, v in cols.items() if k != "comm"})
-        with pytest.raises(ValueError, match="not both"):
-            Trace(app="x", n_ranks=2, events=[], columns=cols)
+            Trace("x", 2, {k: v for k, v in cols.items() if k != "comm"})
 
-    def test_filters(self):
-        tr = T([P(1, 1, 0, 0), S(2, 0, 1, 0),
-                BarrierEvent(time=3, rank=0), BarrierEvent(time=3, rank=1)])
-        assert len(tr.sends()) == 1
-        assert len(tr.recv_posts()) == 1
-        assert len(tr.barriers()) == 2
-        assert len(tr.for_rank(0)) == 2
-        assert tr.validate_balance()["balanced"]
+    def test_rows_and_balance(self):
+        rows = [P(1, 1, 0, 0), S(2, 0, 1, 0), barrier(3, 0), barrier(3, 1)]
+        tr = T(rows)
+        assert len(tr.events) == 4
+        assert list(tr.events) == rows
+        assert tr.validate_balance() == {"sends": 1, "recv_posts": 1,
+                                         "balanced": True}
 
 
 class TestIndexedQueue:
@@ -230,6 +204,19 @@ class TestUniqueness:
         tr = T([S(1, 0, 1, 0), S(2, 0, 1, 0), S(3, 0, 1, 1)])
         shares = per_destination_shares(tr)
         assert shares[1] == pytest.approx(2 / 3)
+
+    def test_destinations_in_first_message_order(self):
+        tr = T([S(1, 0, 2, 0), S(2, 1, 0, 0), S(3, 0, 1, 0), S(4, 1, 0, 5)],
+               n_ranks=3)
+        assert list(per_destination_shares(tr).items()) == \
+            [(2, 1.0), (0, 0.5), (1, 1.0)]
+
+    def test_tuples_keyed_exactly_for_any_tag_value(self):
+        # (src, tag) pairs that would alias under a naive bit packing
+        tr = T([S(1, 0, 1, 2**40), S(2, 0, 1, -5), S(3, 1, 0, 2**40),
+                S(4, 0, 1, 2**40)])
+        assert per_destination_shares(tr) == {1: 2 / 3, 0: 1.0}
+        assert tuple_uniqueness(tr)["duplicate_fraction"] == 0.25
 
     def test_empty(self):
         assert tuple_uniqueness(T([], n_ranks=2))["dominant_share_mean"] == 0.0

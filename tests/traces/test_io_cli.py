@@ -8,8 +8,8 @@ import pytest
 
 from repro.__main__ import main as cli_main
 from repro.traces import generate_trace
-from repro.traces.events import SendEvent, Trace
 from repro.traces.io import dumps, load_trace, loads, save_trace
+from tests.traces.rows import send, trace_of
 
 
 class TestRoundTrip:
@@ -21,16 +21,15 @@ class TestRoundTrip:
         assert again.app == trace.app
         assert again.n_ranks == trace.n_ranks
         assert again.meta == trace.meta
-        assert len(again) == len(trace)
-        for a, b in zip(trace.events, again.events):
-            assert type(a) is type(b)
-            assert a == b
+        assert list(again.events) == list(trace.events)
+        for name, col in trace.columns.items():
+            assert again.columns[name].dtype == col.dtype
 
     def test_roundtrip_through_file(self, tmp_path):
         trace = generate_trace("df_snap", n_ranks=8, steps=1)
         path = save_trace(trace, tmp_path / "t.jsonl")
         again = load_trace(path)
-        assert [e.kind for e in again] == [e.kind for e in trace]
+        assert list(again.events) == list(trace.events)
 
     @pytest.mark.parametrize("app", ["df_minife", "bp_kripke"])
     def test_dumps_is_a_fixed_point(self, app):
@@ -41,9 +40,8 @@ class TestRoundTrip:
     def test_events_carry_python_scalars(self):
         trace = generate_trace("df_minidft", n_ranks=8, steps=1, seed=2)
         for trace_ in (trace, loads(dumps(trace))):
-            for ev in trace_.events:
-                for name, value in vars(ev).items():
-                    assert type(value) is (float if name == "time" else int)
+            for row in trace_.events:
+                assert [type(v) for v in row] == [int] * 6 + [float]
 
     def test_analyses_identical_after_roundtrip(self):
         from repro.traces import analyze, figure2_summary
@@ -80,15 +78,39 @@ class TestFormatErrors:
         h = '{"k":"h","v":1,"app":"x","ranks":2,"meta":{}}'
         with pytest.raises(ValueError, match="invalid JSON"):
             loads(h + "\nnot json")
+        with pytest.raises(ValueError, match="line 2: record is not"):
+            loads(h + "\n[1, 2]")
 
     def test_blank_lines_tolerated(self):
         h = '{"k":"h","v":1,"app":"x","ranks":2,"meta":{}}'
         trace = loads(h + "\n\n\n")
         assert len(trace) == 0
 
+    def test_missing_field(self):
+        h = '{"k":"h","v":1,"app":"x","ranks":2,"meta":{}}'
+        with pytest.raises(ValueError, match="line 2: missing field 'd'"):
+            loads(h + '\n{"k":"s","t":1,"r":0,"g":0}')
+        with pytest.raises(ValueError, match="line 1: missing field 'app'"):
+            loads('{"k":"h","v":1,"ranks":2,"meta":{}}')
+
+    def test_non_integer_value(self):
+        h = '{"k":"h","v":1,"app":"x","ranks":2,"meta":{}}'
+        with pytest.raises(ValueError, match="line 3: field 'g' must be int"):
+            loads(h + '\n{"k":"p","t":1,"r":1,"s":0,"g":0}'
+                  '\n{"k":"s","t":2,"r":0,"d":1,"g":1.5}')
+        with pytest.raises(ValueError, match="line 1: field 'ranks'"):
+            loads('{"k":"h","v":1,"app":"x","ranks":"2","meta":{}}')
+
+    def test_defaults_and_integer_times(self):
+        h = '{"k":"h","v":1,"app":"x","ranks":2}'
+        trace = loads(h + '\n{"k":"s","t":1,"r":0,"d":1,"g":3}'
+                      '\n{"k":"b","t":2,"r":1}')
+        assert list(trace.events) == [(0, 0, 1, 3, 0, 8, 1.0),
+                                      (2, 1, 0, 0, 0, 0, 2.0)]
+        assert trace.meta == {}
+
     def test_jsonl_lines_are_json(self):
-        trace = Trace(app="x", n_ranks=2,
-                      events=[SendEvent(time=1, rank=0, dst=1, tag=0)])
+        trace = trace_of([send(1, rank=0, dst=1, tag=0)])
         for line in dumps(trace).strip().splitlines():
             json.loads(line)
 
