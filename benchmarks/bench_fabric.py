@@ -1,14 +1,11 @@
 """Combining-fabric sweep: shard pairs x fan-out x message size.
 
 Not a paper figure.  Drives a spanning tenant's
-:class:`repro.serve.CollectiveBridge` through ring-exchange supersteps
-and an alltoall acceptance point, sweeping shard count, per-rank
-fan-out, and modeled message size
-(:class:`repro.serve.FabricLink.bytes_per_envelope`), and appends
-labeled entries to ``BENCH_serve.json`` under fabric-specific record
-fields (``span``, ``combine_ratio``, ``pair_batches``,
-``fabric_messages``, ``per_pair_batches``, ``wire_virtual_seconds``,
-``supersteps``).
+:class:`repro.serve.CollectiveBridge` through ring-exchange supersteps,
+an alltoall acceptance point and a neighborhood point, sweeping shard
+count, per-rank fan-out, and modeled message size
+(:class:`repro.serve.FabricLink.bytes_per_envelope`), and prints one
+table row per point from the fabric's counters.
 
 The figure of merit is the **combine ratio** -- inter-shard messages
 carried per combined pair batch.  Träff-style message combining means
@@ -21,27 +18,20 @@ ordered occupied-shard pair per superstep.
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_fabric.py [--smoke]
-        [--label LABEL] [--no-json] [--seed SEED] [--span N]
-        [--supersteps N] [--shards 2,4] [--fanouts 1,3]
-        [--sizes 8,256]
+        [--seed SEED] [--span N] [--supersteps N] [--shards 2,4]
+        [--fanouts 1,3] [--sizes 8,256]
 
-``--smoke`` runs a tiny sweep into a temporary report file,
-schema-checks the fabric fields, asserts the one-batch-per-pair
-acceptance criterion, and leaves ``BENCH_serve.json`` untouched (the CI
-fabric job runs this mode).
+``--smoke`` runs a tiny sweep and exits nonzero unless alltoall sends
+exactly one batch per ordered shard pair per superstep, the
+neighborhood point at most one, and every combine ratio is >= 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import tempfile
 import time
-from pathlib import Path
 
 from repro.bench import Table, format_rate, write_result
-from repro.bench.regression import (ServePerfRecord, append_entry,
-                                    serve_report_path, validate_serve_entry)
 from repro.mpi import CartGraph
 from repro.mpi import collectives as C
 from repro.serve import (CollectiveBridge, FabricLink, MatchingService,
@@ -102,57 +92,38 @@ def drive_ring(bridge: CollectiveBridge, *, supersteps: int,
             req.wait()
 
 
-def record_point(svc: MatchingService, bridge: CollectiveBridge, *,
-                 name: str, n_shards: int, wall: float,
-                 seed: int) -> ServePerfRecord:
+def fabric_row(svc: MatchingService, bridge: CollectiveBridge, *,
+               name: str, n_shards: int, wall: float) -> dict:
     fabric = bridge.fabric
-    report = svc.report()
-    matched = report["matched"]
-    return ServePerfRecord(
-        workload=name,
-        tenants=bridge.size,
-        n_envelopes=2 * (fabric.fabric_messages_total
-                         + fabric.local_messages_total),
-        submitted=report["submitted"],
-        accepted=report["accepted"],
-        shed_retryable=report["shed_retryable"],
-        shed_overloaded=report["shed_overloaded"],
-        flushes=report["flushes"],
-        matched=matched,
-        retunes=report["retunes"],
-        seconds=wall,
-        matches_per_second=matched / wall if wall > 0 else 0.0,
-        latency_p50_vt=report["latency_p50_vt"],
-        latency_p99_vt=report["latency_p99_vt"],
-        seed=seed,
-        procs=n_shards,
-        span=bridge.size,
-        combine_ratio=(fabric.combine_ratio
-                       if fabric.pair_batches_total else None),
-        pair_batches=fabric.pair_batches_total,
-        fabric_messages=fabric.fabric_messages_total,
-        per_pair_batches={f"{s}->{d}": n for (s, d), n
-                          in sorted(fabric.per_pair_batches.items())},
-        wire_virtual_seconds=fabric.wire_seconds_total,
-        supersteps=fabric.supersteps,
-    )
+    matched = svc.report()["matched"]
+    return {
+        "point": name,
+        "span": bridge.size,
+        "shards": n_shards,
+        "supersteps": fabric.supersteps,
+        "pair_batches": fabric.pair_batches_total,
+        "messages": fabric.fabric_messages_total,
+        "combine": (fabric.combine_ratio
+                    if fabric.pair_batches_total else None),
+        "wire_vt": fabric.wire_seconds_total,
+        "match_rate": matched / wall if wall > 0 else 0.0,
+    }
 
 
 def run_ring_point(*, n_shards: int, span: int, fanout: int,
                    payload_bytes: int, supersteps: int,
-                   seed: int) -> ServePerfRecord:
+                   seed: int) -> dict:
     svc, bridge = make_bridge(n_shards=n_shards, span=span, seed=seed,
                               payload_bytes=payload_bytes)
     t0 = time.perf_counter()
     drive_ring(bridge, supersteps=supersteps, fanout=fanout)
     wall = time.perf_counter() - t0
-    return record_point(
-        svc, bridge, seed=seed, n_shards=n_shards, wall=wall,
-        name=f"fabric-s{n_shards}-f{fanout}-b{payload_bytes}")
+    return fabric_row(svc, bridge, n_shards=n_shards, wall=wall,
+                      name=f"fabric-s{n_shards}-f{fanout}-b{payload_bytes}")
 
 
 def run_alltoall_point(*, n_shards: int, span: int, payload_bytes: int,
-                       supersteps: int, seed: int) -> ServePerfRecord:
+                       supersteps: int, seed: int) -> dict:
     """The acceptance point: each alltoall superstep must produce
     exactly one combined batch per ordered occupied-shard pair."""
     svc, bridge = make_bridge(n_shards=n_shards, span=span, seed=seed,
@@ -174,12 +145,12 @@ def run_alltoall_point(*, n_shards: int, span: int, payload_bytes: int,
             f"combining violated: expected one batch per ordered pair "
             f"per superstep ({n_pairs} pairs x {supersteps}), got "
             f"{dict(fabric.per_pair_batches)}")
-    return record_point(svc, bridge, seed=seed, n_shards=n_shards,
-                        wall=wall, name=f"fabric-alltoall-s{n_shards}")
+    return fabric_row(svc, bridge, n_shards=n_shards, wall=wall,
+                      name=f"fabric-alltoall-s{n_shards}")
 
 
 def run_neighbor_point(*, n_shards: int, span: int, payload_bytes: int,
-                       supersteps: int, seed: int) -> ServePerfRecord:
+                       supersteps: int, seed: int) -> dict:
     """Sparse neighborhood collective over a periodic Cartesian grid:
     only declared edges carry traffic, and those that cross shards must
     still coalesce -- at most one combined batch per ordered occupied
@@ -202,23 +173,22 @@ def run_neighbor_point(*, n_shards: int, span: int, payload_bytes: int,
         raise SystemExit(
             f"neighborhood combining violated: pair batches exceeded one "
             f"per superstep: {too_many}")
-    return record_point(svc, bridge, seed=seed, n_shards=n_shards,
-                        wall=wall, name=f"fabric-neighbor-s{n_shards}")
+    return fabric_row(svc, bridge, n_shards=n_shards, wall=wall,
+                      name=f"fabric-neighbor-s{n_shards}")
 
 
-def fabric_table(records: list[ServePerfRecord],
+def fabric_table(rows: list[dict],
                  title: str = "Combining fabric sweep") -> Table:
     table = Table(title=title,
                   columns=["point", "span", "shards", "supersteps",
                            "pair batches", "messages", "combine",
                            "wire vt", "match rate"])
-    for r in records:
-        combine = (f"{r.combine_ratio:.2f}"
-                   if r.combine_ratio is not None else "-")
-        table.add(r.workload, r.span, r.procs, r.supersteps,
-                  r.pair_batches, r.fabric_messages, combine,
-                  f"{r.wire_virtual_seconds * 1e6:.2f}us",
-                  format_rate(r.matches_per_second))
+    for r in rows:
+        combine = f"{r['combine']:.2f}" if r["combine"] is not None else "-"
+        table.add(r["point"], r["span"], r["shards"], r["supersteps"],
+                  r["pair_batches"], r["messages"], combine,
+                  f"{r['wire_vt'] * 1e6:.2f}us",
+                  format_rate(r["match_rate"]))
     table.note("combine = inter-shard messages per combined pair batch; "
                "batch count scales with communicating shard pairs per "
                "superstep, never with fan-out or message count")
@@ -227,53 +197,39 @@ def fabric_table(records: list[ServePerfRecord],
 
 def sweep(*, shards: tuple[int, ...], fanouts: tuple[int, ...],
           sizes: tuple[int, ...], span: int, supersteps: int,
-          seed: int) -> list[ServePerfRecord]:
-    records = []
+          seed: int) -> list[dict]:
+    rows = []
     for n_shards in shards:
         for fanout in fanouts:
             for payload_bytes in sizes:
-                records.append(run_ring_point(
+                rows.append(run_ring_point(
                     n_shards=n_shards, span=span, fanout=fanout,
                     payload_bytes=payload_bytes, supersteps=supersteps,
                     seed=seed))
-        records.append(run_alltoall_point(
+        rows.append(run_alltoall_point(
             n_shards=n_shards, span=span, payload_bytes=max(sizes),
             supersteps=max(1, supersteps // 2), seed=seed))
-        records.append(run_neighbor_point(
+        rows.append(run_neighbor_point(
             n_shards=n_shards, span=span, payload_bytes=max(sizes),
             supersteps=max(1, supersteps // 2), seed=seed))
-    return records
+    return rows
 
 
-def smoke_check(seed: int = 0) -> list[ServePerfRecord]:
-    """CI mode: tiny sweep, acceptance assertion, temp-report schema
-    check, no committed-report write."""
-    records = sweep(shards=(2,), fanouts=(1,), sizes=(8,), span=8,
-                    supersteps=2, seed=seed)
-    for rec in records:
-        if rec.combine_ratio is not None and rec.combine_ratio < 1.0:
-            raise SystemExit(f"{rec.workload}: combine ratio below 1.0")
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "BENCH_serve.json"
-        append_entry(records, label="smoke-fabric", path=path)
-        with open(path) as f:
-            report = json.load(f)
-        problems = validate_serve_entry(report["entries"][-1])
-        if problems:
-            raise SystemExit("fabric report schema check failed:\n  "
-                             + "\n  ".join(problems))
-    return records
+def smoke_check(seed: int = 0) -> list[dict]:
+    """CI mode: tiny sweep; the alltoall and neighborhood points assert
+    their per-pair batch counts, and every combine ratio must be >= 1."""
+    rows = sweep(shards=(2,), fanouts=(1,), sizes=(8,), span=8,
+                 supersteps=2, seed=seed)
+    for r in rows:
+        if r["combine"] is not None and r["combine"] < 1.0:
+            raise SystemExit(f"{r['point']}: combine ratio below 1.0")
+    return rows
 
 
 def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--smoke", action="store_true",
-                    help="tiny sweep + schema/acceptance check; no "
-                         "report-file write")
-    ap.add_argument("--label", default="fabric",
-                    help="entry label in BENCH_serve.json")
-    ap.add_argument("--no-json", action="store_true",
-                    help="print tables without touching the report file")
+                    help="tiny sweep + per-pair batch acceptance check")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--span", type=int, default=8,
                     help="spanning tenant rank count")
@@ -288,22 +244,18 @@ def main(argv: list[str] | None = None) -> None:
     args = ap.parse_args(argv)
 
     if args.smoke:
-        records = smoke_check(seed=args.seed)
-        fabric_table(records,
-                     title="Fabric smoke (schema checked)").show()
-        print("fabric report schema: ok")
+        fabric_table(smoke_check(seed=args.seed),
+                     title="Fabric smoke").show()
         print("one-batch-per-pair acceptance: ok")
+        print("neighborhood at-most-one-batch-per-pair: ok")
+        print("combine ratio >= 1: ok")
         return
 
-    records = sweep(shards=tuple(int(s) for s in args.shards.split(",")),
-                    fanouts=tuple(int(f) for f in args.fanouts.split(",")),
-                    sizes=tuple(int(b) for b in args.sizes.split(",")),
-                    span=args.span, supersteps=args.supersteps,
-                    seed=args.seed)
-    write_result("fabric_combining", fabric_table(records).show())
-    if not args.no_json:
-        append_entry(records, label=args.label, path=serve_report_path())
-        print(f"appended entry {args.label!r} to {serve_report_path()}")
+    rows = sweep(shards=tuple(int(s) for s in args.shards.split(",")),
+                 fanouts=tuple(int(f) for f in args.fanouts.split(",")),
+                 sizes=tuple(int(b) for b in args.sizes.split(",")),
+                 span=args.span, supersteps=args.supersteps, seed=args.seed)
+    write_result("fabric_combining", fabric_table(rows).show())
 
 
 if __name__ == "__main__":

@@ -17,35 +17,24 @@ already-queued pair batch.  The plain stream pays the full match path
 per transfer, so with ``K`` partitions the partitioned side amortizes
 ``K`` matches down to one and the ratio grows with ``K``.
 
-Appends labeled entries to ``BENCH_serve.json`` under the
-partitioned-specific record fields (``partitions``,
-``refires_per_match``, ``partitioned_rate``, ``plain_rate``,
-``amortization_ratio``).
-
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_partitioned.py [--smoke]
-        [--label LABEL] [--no-json] [--seed SEED] [--span N]
-        [--partitions N] [--supersteps N] [--shards 2,4]
+        [--seed SEED] [--span N] [--partitions N] [--supersteps N]
+        [--shards 2,4]
 
-``--smoke`` runs a tiny point into a temporary report file,
-schema-checks the partitioned fields, asserts match-once accounting,
-and leaves ``BENCH_serve.json`` untouched (the CI workloads job runs
-this mode).  The full run additionally enforces the acceptance gate:
-amortization ratio >= 5x at the default partition count.
+Every point exits nonzero unless each channel epoch matched exactly
+once.  ``--smoke`` runs one tiny point; the full run additionally
+enforces the acceptance gate: amortization ratio >= 5x at the default
+partition count.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import tempfile
 import time
-from pathlib import Path
 
 from repro.bench import Table, format_rate, write_result
-from repro.bench.regression import (ServePerfRecord, append_entry,
-                                    serve_report_path, validate_serve_entry)
 from repro.serve import (CollectiveBridge, FabricLink, MatchingService,
                          TenantSpec, stable_shard)
 
@@ -126,7 +115,7 @@ def drive_plain(bridge: CollectiveBridge, *, partitions: int,
 
 
 def run_point(*, n_shards: int, span: int, partitions: int,
-              supersteps: int, seed: int) -> ServePerfRecord:
+              supersteps: int, seed: int) -> dict:
     """One amortization point: partitioned vs plain on fresh services."""
     svc_plain, bridge_plain = make_bridge(n_shards=n_shards, span=span,
                                           seed=seed)
@@ -146,58 +135,38 @@ def run_point(*, n_shards: int, span: int, partitions: int,
                          f"plain moved {transfers}")
     partitioned_rate = moved / wall if wall > 0 else 0.0
 
-    report = svc.report()
-    matched = report["matched"]
+    matched = svc.report()["matched"]
     bindings = span * supersteps  # one matched envelope per channel epoch
     if matched != bindings:
         raise SystemExit(
             f"match-once violated: {matched} matches for {bindings} "
             f"channel epochs (each Start must match exactly once)")
-    fabric = bridge.fabric
-    return ServePerfRecord(
-        workload=f"partitioned-s{n_shards}-p{partitions}",
-        tenants=bridge.size,
-        n_envelopes=2 * bindings,
-        submitted=report["submitted"],
-        accepted=report["accepted"],
-        shed_retryable=report["shed_retryable"],
-        shed_overloaded=report["shed_overloaded"],
-        flushes=report["flushes"],
-        matched=matched,
-        retunes=report["retunes"],
-        seconds=wall,
-        matches_per_second=matched / wall if wall > 0 else 0.0,
-        latency_p50_vt=report["latency_p50_vt"],
-        latency_p99_vt=report["latency_p99_vt"],
-        seed=seed,
-        procs=n_shards,
-        span=bridge.size,
-        pair_batches=fabric.pair_batches_total,
-        fabric_messages=fabric.fabric_messages_total,
-        wire_virtual_seconds=fabric.wire_seconds_total,
-        supersteps=fabric.supersteps,
-        partitions=partitions,
-        refires_per_match=partitions,
-        partitioned_rate=partitioned_rate,
-        plain_rate=plain_rate,
-        amortization_ratio=(partitioned_rate / plain_rate
-                            if plain_rate > 0 else None),
-    )
+    return {
+        "point": f"partitioned-s{n_shards}-p{partitions}",
+        "span": bridge.size,
+        "shards": n_shards,
+        "partitions": partitions,
+        "matched": matched,
+        "partitioned_rate": partitioned_rate,
+        "plain_rate": plain_rate,
+        "amortization": (partitioned_rate / plain_rate
+                         if plain_rate > 0 else None),
+    }
 
 
-def partitioned_table(records: list[ServePerfRecord],
+def partitioned_table(rows: list[dict],
                       title: str = "Partitioned amortization",
                       ) -> Table:
     table = Table(title=title,
                   columns=["point", "span", "shards", "parts",
                            "matches", "transfers/s", "plain/s",
                            "amortization"])
-    for r in records:
-        amort = (f"{r.amortization_ratio:.2f}x"
-                 if r.amortization_ratio is not None else "-")
-        table.add(r.workload, r.span, r.procs, r.partitions, r.matched,
-                  format_rate(r.partitioned_rate),
-                  format_rate(r.plain_rate), amort)
+    for r in rows:
+        amort = (f"{r['amortization']:.2f}x"
+                 if r["amortization"] is not None else "-")
+        table.add(r["point"], r["span"], r["shards"], r["partitions"],
+                  r["matched"], format_rate(r["partitioned_rate"]),
+                  format_rate(r["plain_rate"]), amort)
     table.note("amortization = partitioned transfers/s over the "
                "equivalent individually-matched stream; the partitioned "
                "side matches one binding envelope per channel epoch and "
@@ -206,41 +175,25 @@ def partitioned_table(records: list[ServePerfRecord],
 
 
 def sweep(*, shards: tuple[int, ...], span: int, partitions: int,
-          supersteps: int, seed: int) -> list[ServePerfRecord]:
+          supersteps: int, seed: int) -> list[dict]:
     return [run_point(n_shards=n, span=span, partitions=partitions,
                       supersteps=supersteps, seed=seed)
             for n in shards]
 
 
-def smoke_check(seed: int = 0) -> list[ServePerfRecord]:
-    """CI mode: one tiny point, match-once assertion (inside
-    ``run_point``), temp-report schema check, no committed write."""
-    records = sweep(shards=(2,), span=8, partitions=4, supersteps=2,
-                    seed=seed)
-    for rec in records:
-        if rec.amortization_ratio is None or rec.amortization_ratio <= 0:
-            raise SystemExit(f"{rec.workload}: missing amortization ratio")
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "BENCH_serve.json"
-        append_entry(records, label="smoke-partitioned", path=path)
-        with open(path) as f:
-            report = json.load(f)
-        problems = validate_serve_entry(report["entries"][-1])
-        if problems:
-            raise SystemExit("partitioned report schema check failed:\n  "
-                             + "\n  ".join(problems))
-    return records
+def smoke_check(seed: int = 0) -> list[dict]:
+    """CI mode: one tiny point; ``run_point`` asserts match-once."""
+    rows = sweep(shards=(2,), span=8, partitions=4, supersteps=2, seed=seed)
+    for r in rows:
+        if r["amortization"] is None or r["amortization"] <= 0:
+            raise SystemExit(f"{r['point']}: missing amortization ratio")
+    return rows
 
 
 def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--smoke", action="store_true",
-                    help="tiny point + schema/match-once check; no "
-                         "report-file write, no ratio gate")
-    ap.add_argument("--label", default="partitioned",
-                    help="entry label in BENCH_serve.json")
-    ap.add_argument("--no-json", action="store_true",
-                    help="print tables without touching the report file")
+                    help="tiny point + match-once check; no ratio gate")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--span", type=int, default=8,
                     help="spanning tenant rank count (= ring channels)")
@@ -253,28 +206,22 @@ def main(argv: list[str] | None = None) -> None:
     args = ap.parse_args(argv)
 
     if args.smoke:
-        records = smoke_check(seed=args.seed)
-        partitioned_table(records,
-                          title="Partitioned smoke (schema checked)").show()
-        print("partitioned report schema: ok")
+        partitioned_table(smoke_check(seed=args.seed),
+                          title="Partitioned smoke").show()
         print("match-once accounting: ok")
         return
 
-    records = sweep(shards=tuple(int(s) for s in args.shards.split(",")),
-                    span=args.span, partitions=args.partitions,
-                    supersteps=args.supersteps, seed=args.seed)
-    worst = min(r.amortization_ratio for r in records
-                if r.amortization_ratio is not None)
+    rows = sweep(shards=tuple(int(s) for s in args.shards.split(",")),
+                 span=args.span, partitions=args.partitions,
+                 supersteps=args.supersteps, seed=args.seed)
+    worst = min(r["amortization"] for r in rows
+                if r["amortization"] is not None)
     if worst < MIN_AMORTIZATION:
         raise SystemExit(
             f"amortization gate failed: worst point {worst:.2f}x < "
             f"{MIN_AMORTIZATION:.1f}x (partitioned re-fires are not "
             f"amortizing their binding match)")
-    write_result("partitioned_amortization",
-                 partitioned_table(records).show())
-    if not args.no_json:
-        append_entry(records, label=args.label, path=serve_report_path())
-        print(f"appended entry {args.label!r} to {serve_report_path()}")
+    write_result("partitioned_amortization", partitioned_table(rows).show())
 
 
 if __name__ == "__main__":

@@ -171,9 +171,8 @@ def _cmd_bench(args) -> int:
         print(f"{label:16s} matched={report['matched']:<6d} "
               f"shed={report['shed_retryable'] + report['shed_overloaded']:<4d} "
               f"retunes={report['retunes']} {rate / 1e3:.1f} Kmatches/s")
-    print("(printed only; benchmarks/bench_host_perf.py, "
-          "benchmarks/bench_serve.py, and benchmarks/bench_cluster.py "
-          "write the labeled reports)")
+    print("(printed only; benchmarks/ledger/ledger.py is the re-measuring "
+          "serve bench)")
     return 0
 
 

@@ -23,7 +23,8 @@ system:
   serve run is replayable bit-for-bit;
 * **open-loop load generation** (:mod:`.loadgen`) -- tenant streams
   derived from the proxy-application traces, driving
-  ``benchmarks/bench_serve.py`` and ``python -m repro serve-demo``;
+  the performance ledger (``benchmarks/ledger/``) and
+  ``python -m repro serve-demo``;
 * **stateful sessions** (:mod:`.state`) -- persistent-UMQ carry-over
   for ``session`` tenants and a versioned CRC-guarded snapshot codec
   with bit-identical checkpoint/restore;

@@ -17,8 +17,9 @@ module turns a trace into a serve workload:
   offered load exactly when the service degrades, hiding the knee.
 
 ``run_workload`` drives a :class:`~repro.serve.service.MatchingService`
-through a workload and is the engine under both ``benchmarks/bench_serve.py``
-and ``python -m repro serve-demo``.
+through a workload and is the engine under ``python -m repro serve-demo``;
+the performance ledger (``benchmarks/ledger/``) draws its streams from
+``workload_from_app``.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.envelope import MAX_TAG
-from repro.mpi import Cluster, Communicator
+from repro.mpi import CartGraph, Cluster, Communicator
 from repro.mpi import collectives as C
 from repro.serve import (ClusterService, CollectiveBridge, FabricError,
                          FabricLink, MatchingService, TenantSpec)
@@ -163,6 +163,32 @@ class TestCombining:
                    for count in fabric.per_pair_batches.values())
         assert set(fabric.per_pair_batches) == {
             (s, d) for s in occ for d in occ if s != d}
+
+    def test_neighbor_alltoall_at_most_one_batch_per_ordered_pair(self):
+        """A sparse neighborhood collective over a periodic Cartesian
+        grid coalesces too: each superstep sends at most one combined
+        batch per ordered occupied-shard pair (sparsity can drop pairs,
+        never multiply batches)."""
+        svc = make_service(n_shards=3)
+        bridge = CollectiveBridge(svc, "mpi")
+        occ = self.occupied_shards(svc)
+        assert len(occ) > 1
+        topo = CartGraph((SPAN // 2, 2), periodic=True)
+        supersteps = 3
+        for _ in range(supersteps):
+            got = C.neighbor_alltoall(
+                bridge, topo,
+                [[(r, d) for d in topo.destinations(r)]
+                 for r in range(SPAN)])
+        assert got == [[(s, d) for s in topo.sources(d)]
+                       for d in range(SPAN)]
+        fabric = bridge.fabric
+        assert fabric.supersteps == supersteps
+        assert fabric.pair_batches_total > 0   # traffic crossed shards
+        assert set(fabric.per_pair_batches) <= {
+            (s, d) for s in occ for d in occ if s != d}
+        assert all(count <= supersteps
+                   for count in fabric.per_pair_batches.values())
 
     def test_combine_ratio_counts_messages_per_pair_batch(self):
         svc = make_service(n_shards=3)

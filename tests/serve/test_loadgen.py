@@ -1,11 +1,9 @@
-"""Open-loop load generation and the serve bench record schema."""
+"""Open-loop load generation."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.bench.regression import (ServePerfRecord, append_entry,
-                                    validate_serve_entry)
 from repro.serve import (DEFAULT_BENCH_APPS, busiest_rank, merge_workloads,
                          run_workload, tenant_stream_from_trace,
                          workload_from_app)
@@ -84,35 +82,3 @@ class TestWorkloads:
         assert reports[0] == reports[1]
         assert reports[0]["matched"] > 0
 
-
-class TestRecordSchema:
-    def _record(self, workload: str = "df_amg") -> ServePerfRecord:
-        return ServePerfRecord(
-            workload=workload, tenants=1, n_envelopes=100, submitted=10,
-            accepted=10, shed_retryable=0, shed_overloaded=0, flushes=3,
-            matched=40, retunes=1, seconds=0.01,
-            matches_per_second=4000.0, latency_p50_vt=1e-4,
-            latency_p99_vt=2e-4, seed=0)
-
-    def test_appended_entry_validates(self, tmp_path):
-        path = tmp_path / "BENCH_serve.json"
-        report = append_entry([self._record(), self._record("df_minife")],
-                              label="test", path=path)
-        entry = report["entries"][-1]
-        assert validate_serve_entry(entry) == []
-        assert [r["workload"] for r in entry["records"]] == \
-            ["df_amg", "df_minife"]
-
-    def test_validation_flags_missing_fields(self):
-        assert validate_serve_entry({"label": "x"})  # no timestamp/records
-        bad = {"label": "x", "timestamp": "t",
-               "records": [{"workload": "w"}]}
-        problems = validate_serve_entry(bad)
-        assert any("missing 'matched'" in p for p in problems)
-
-    def test_committed_report_validates(self):
-        from repro.bench.regression import load_report, serve_report_path
-        report = load_report(serve_report_path())
-        assert report["entries"], "BENCH_serve.json must ship an entry"
-        for entry in report["entries"]:
-            assert validate_serve_entry(entry) == []
