@@ -28,15 +28,15 @@ system:
 * **stateful sessions** (:mod:`.state`) -- persistent-UMQ carry-over
   for ``session`` tenants and a versioned CRC-guarded snapshot codec
   with bit-identical checkpoint/restore;
-* **multi-process clusters + fault tolerance** (:mod:`.wire`,
-  :mod:`.cluster`) -- each shard in its own worker process behind
-  pickle-free CRC-guarded wire frames, with a router owning placement,
-  the global sequence space, and response collection; a same-seed
-  cluster run is bit-identical to the in-process service.  The router
-  is the one recovery and migration path: worker death recovers by
-  checkpoint + verbatim journal re-execution (zero admitted requests
-  lost), and live tenant migration (gate -> drain -> export -> cutover)
-  comes with hot-spot rebalancing;
+* **one serving plane** (:mod:`.service`, :mod:`.wire`,
+  :mod:`.cluster`) -- a router over shard workers: the in-process
+  service calls loopback workers directly, the cluster runs each worker
+  in its own process behind pickle-free CRC-guarded wire frames, and a
+  same-seed cluster run is bit-identical to the in-process service.
+  The cluster router is the one recovery and migration path: worker
+  death recovers by checkpoint + verbatim journal re-execution (zero
+  admitted requests lost), and live tenant migration comes with
+  hot-spot rebalancing;
 * **cross-shard tenants + the combining fabric** (:mod:`.fabric`) --
   ``TenantSpec(span=N)`` tenants spread sub-shards across the service,
   with inter-shard traffic coalesced into one combined column block per

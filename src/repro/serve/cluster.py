@@ -1,13 +1,15 @@
 """Multi-process serving: worker shards behind a process boundary.
 
 :class:`ClusterService` runs each shard in its **own worker process**
-and keeps the router in the calling process.  The router owns placement
-(the same CRC32 hash the in-process service uses), the global request
-sequence space, and response collection; each worker hosts a
-single-shard :class:`~repro.serve.service.MatchingService` and is driven
-exclusively by wire frames (:mod:`repro.serve.wire`) over bounded
-multiprocessing queues -- one command queue and one response queue per
-worker, single writer each, so frame order is FIFO per direction.
+and keeps the router in the calling process.  The router is the same
+:class:`~repro.serve.service.Router` the in-process
+:class:`~repro.serve.service.MatchingService` is -- placement, the global
+request sequence space, the virtual clock, results and reports -- over a
+different transport: each worker process hosts a
+:class:`~repro.serve.service.ShardWorker` driven exclusively by wire
+frames (:mod:`repro.serve.wire`) over bounded multiprocessing queues --
+one command queue and one response queue per worker, single writer
+each, so frame order is FIFO per direction.
 
 **Determinism contract.**  A same-seed cluster run is bit-identical to
 the in-process service on the same stream: tickets (status, seq, retry
@@ -16,15 +18,15 @@ engine labels), shed counts, and latency percentiles all agree (pinned
 by ``tests/serve/test_cluster_identity.py``).  This is not luck but
 construction:
 
-* tenants are shard-isolated, and placement mod ``n`` partitions them
-  identically whether ``n`` counts shards or worker processes;
+* both planes run the same router code and the same
+  :meth:`~repro.serve.service.ShardWorker.handle`; only the transport
+  between them differs;
 * every serve decision reads only the tenant's shard state and the
   virtual clock -- the event loop's RNG is never consulted -- so a
   worker's clock may *lag* the router's without changing any outcome:
   timers still fire at their scheduled virtual times, in the same
   ``(vt, seq)`` order per shard;
-* the router stamps each submission with its global seq and arrival vt,
-  and per-worker FIFO channels preserve each shard's submission order.
+* per-worker FIFO channels preserve each shard's submission order.
 
 **Failure model.**  A worker is a deterministic state machine over its
 input frame stream.  The router journals every state-mutating frame it
@@ -54,7 +56,6 @@ worker busy seconds, recovery cost) -- never on a decision path.
 
 from __future__ import annotations
 
-import heapq
 import multiprocessing as mp
 import os
 import queue as queue_mod
@@ -65,26 +66,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.envelope import EnvelopeBatch
-from ..obs.metrics import percentile
 from .admission import AdmissionPolicy
 from .batching import BatchPolicy
-from .loadgen import ServeWorkload
-from .messages import FlushResult, ShardCrash, TenantSpec, Ticket
-from .service import MatchingService, stable_shard
+from .loadgen import ServeWorkload, _drive
+from .messages import ClusterError, ShardCrash, TenantSpec, Ticket
+from .service import Router, ShardWorker
 from .stages import SERVE_STAGES, StageClock
-from .state import (dumps, export_tenant, install_tenant, loads,
-                    restore_service, snapshot_service)
-from .wire import (WireError, decode_frame, encode_frame, flush_from_wire,
-                   flush_wire, spec_from_wire, spec_wire, ticket_from_wire,
-                   ticket_wire)
+from .state import dumps, install_worker, loads, policies_from, policies_state
+from .wire import WireError, decode_frame, encode_frame
 
 __all__ = ["ClusterError", "ClusterRecovery", "ClusterMigration",
            "ClusterService", "RebalancePolicy", "run_cluster_workload"]
-
-
-class ClusterError(RuntimeError):
-    """A cluster-plane protocol failure (stalled worker, barrier
-    timeout, misuse of the router API)."""
 
 
 @dataclass(frozen=True)
@@ -135,20 +127,8 @@ class RebalancePolicy:
 # Worker process
 # ---------------------------------------------------------------------------
 
-def _drop_timers(loop, tenant: str) -> None:
-    """Cancel every deadline timer armed for ``tenant`` in ``loop``.
-
-    Called when a migrated tenant leaves a worker: its timers would
-    otherwise fire there for a tenant the worker no longer hosts.  The
-    drained accumulator travels in the migration blob and is re-armed
-    where it is installed, so nothing pending is lost."""
-    loop._heap = [ev for ev in loop._heap
-                  if not (ev.kind == "flush" and ev.payload[0] == tenant)]
-    heapq.heapify(loop._heap)
-
-
 def _worker_main(init_blob: bytes, cmd_q, resp_q) -> None:
-    """One worker process: a single-shard service driven by wire frames.
+    """One worker process: a :class:`ShardWorker` driven by wire frames.
 
     Top-level by design -- the spawn start method imports this module in
     the child and calls the function by qualified name; nothing here may
@@ -156,145 +136,33 @@ def _worker_main(init_blob: bytes, cmd_q, resp_q) -> None:
     blob) and the two queues.
     """
     cfg = loads(init_blob)
-    worker_id = int(cfg["worker_id"])
-    stages = StageClock()
+    worker = ShardWorker(cfg["worker_id"], seed=cfg["seed"],
+                         stages=StageClock(),
+                         **policies_from(cfg["policies"]))
     if cfg["checkpoint"] is not None:
-        svc = restore_service(bytes(cfg["checkpoint"]), stages=stages)
+        install_worker(worker, loads(cfg["checkpoint"]))
     else:
-        pol = cfg["policies"]
-        adm = pol["admission"]
-        bat = pol["batching"]
-        svc = MatchingService(
-            n_shards=1,
-            admission=AdmissionPolicy(
-                capacity=int(adm["capacity"]),
-                soft_fraction=float(adm["soft_fraction"]),
-                retry_after_vt=(None if adm["retry_after_vt"] is None
-                                else float(adm["retry_after_vt"]))),
-            batching=BatchPolicy(max_envelopes=int(bat["max_envelopes"]),
-                                 max_delay_vt=float(bat["max_delay_vt"])),
-            seed=int(cfg["seed"]),
-            promote_after=int(pol["promote_after"]),
-            profile_window=int(pol["profile_window"]),
-            verify=bool(pol["verify"]),
-            stages=stages)
-        for spec_payload in cfg["specs"]:
-            svc.register(spec_from_wire(spec_payload))
-    shard = svc.shards[0]
-    n_sent = len(svc.results)   # checkpointed results were already routed
-    # Busy accounting uses *CPU* time, not wall time: on a host with
-    # fewer cores than workers, wall time inside a handler includes the
-    # periods this process was descheduled while siblings ran, which
-    # would make per-worker "busy" grow with contention instead of
-    # shrinking with partitioning.  CPU seconds are what the span-rate
-    # metric (matched / max worker busy) needs to stay honest.
-    busy = 0.0
-
-    def post(kind: str, payload) -> None:
-        resp_q.put(encode_frame(kind, payload))
-
-    def post_new_results() -> None:
-        nonlocal n_sent
-        while n_sent < len(svc.results):
-            post("flush", flush_wire(svc.results[n_sent]))
-            n_sent += 1
-
-    while True:
-        data = cmd_q.get()
-        kind, payload = decode_frame(data)
+        for spec in cfg["specs"]:
+            worker.add_tenant(spec)
+    while not worker.stopped:
+        kind, payload = decode_frame(cmd_q.get())
+        # Busy accounting uses *CPU* time, not wall time: on a host with
+        # fewer cores than workers, wall time inside a handler includes
+        # the periods this process was descheduled while siblings ran,
+        # which would make per-worker "busy" grow with contention
+        # instead of shrinking with partitioning.
         t0 = time.process_time()
         try:
-            if kind == "submit":
-                ticket = svc.submit(
-                    str(payload["tenant"]),
-                    EnvelopeBatch.from_state_dict(payload["messages"]),
-                    EnvelopeBatch.from_state_dict(payload["requests"]),
-                    at_vt=float(payload["at_vt"]),
-                    seq=int(payload["seq"]))
-                post_new_results()
-                post("ticket", ticket_wire(ticket))
-            elif kind == "advance":
-                svc.advance_to(float(payload["vt"]))
-                post_new_results()
-            elif kind == "drain":
-                svc.drain()
-                post_new_results()
-            elif kind == "checkpoint":
-                post("checkpointed", {"blob": snapshot_service(svc),
-                                      "vt": svc.now})
-            elif kind == "stats":
-                post("stats_reply", {
-                    "token": int(payload["token"]),
-                    "worker_id": worker_id,
-                    "counts": shard.admission.counts(),
-                    "windowed_volume": shard.windowed_volume(),
-                    "tenant_volumes": {
-                        name: ts.profiler.profile().n_messages
-                        for name, ts in shard.tenants.items()},
-                    "busy_seconds": busy,
-                    "stage_seconds": stages.snapshot(),
-                    "report": svc.report()})
-            elif kind == "arm_exit":
-                shard.fail_at_flush = (shard.flushes_done
-                                       + int(payload["after_flushes"]))
-            elif kind == "export_tenant":
-                tenant = str(payload["tenant"])
-                shard.migrating[tenant] = float(payload["cutover_vt"])
-                result = shard.flush_tenant(tenant, svc.now)
-                if result is not None:
-                    svc.results.append(result)
-                post_new_results()
-                post("tenant_state", {
-                    "tenant": tenant,
-                    "blob": dumps(export_tenant(shard.tenants[tenant]))})
-            elif kind == "install_tenant":
-                ts = install_tenant(shard, loads(bytes(payload["blob"])))
-                name = ts.spec.name
-                svc._placement[name] = 0
-                if len(ts.accumulator):
-                    svc.loop.schedule(
-                        max(ts.accumulator.deadline_vt, svc.now),
-                        "flush", (name, ts.accumulator.epoch))
-            elif kind == "fabric_xfer":
-                # Rebuild the transfer with live batches and reuse the
-                # in-process delivery path; the combined block's packed64
-                # cache survives the state-dict round trip, so segment
-                # slices still share one packing.
-                block = payload["block"]
-                xfer = {
-                    "at_vt": float(payload["at_vt"]),
-                    "block": (None if block is None
-                              else EnvelopeBatch.from_state_dict(block)),
-                    "segments": [
-                        {"tenant": str(seg["tenant"]),
-                         "seq": int(seg["seq"]),
-                         "start": int(seg["start"]),
-                         "stop": int(seg["stop"]),
-                         "requests": (
-                             None if seg["requests"] is None
-                             else EnvelopeBatch.from_state_dict(
-                                 seg["requests"]))}
-                        for seg in payload["segments"]],
-                }
-                svc.fabric_deliver(0, xfer)
-            elif kind == "release_tenant":
-                tenant = str(payload["tenant"])
-                shard.migrating.pop(tenant, None)
-                shard.tenants.pop(tenant, None)
-                svc._placement.pop(tenant, None)
-                _drop_timers(svc.loop, tenant)
-            elif kind == "stop":
-                post("bye", {"worker_id": worker_id})
-                return
-            else:
-                raise WireError(f"worker cannot handle frame {kind!r}")
+            replies = worker.handle(kind, payload)
         except ShardCrash:
             # Armed chaos kill: die for real, mid-flush, between queue
             # operations (the accumulator has drained; the in-flight
             # batch exists only on this stack).  Recovery must come from
             # the router's checkpoint + journal.
             os.kill(os.getpid(), signal.SIGKILL)
-        busy += time.process_time() - t0
+        for reply in replies:
+            resp_q.put(encode_frame(*reply))
+        worker.busy += time.process_time() - t0
 
 
 # ---------------------------------------------------------------------------
@@ -323,28 +191,31 @@ class _WorkerHandle:
         self.specs: list[TenantSpec] = []
         self.stopped = False
 
+    def add_tenant(self, spec: TenantSpec) -> None:
+        self.specs.append(spec)   # shipped in the worker's init blob
+
     def alive(self) -> bool:
         return self.proc is not None and self.proc.is_alive()
 
 
-class ClusterService:
+class ClusterService(Router):
     """A sharded matching service spanning worker processes.
 
-    Mirrors the :class:`~repro.serve.service.MatchingService` surface --
-    ``register`` / ``submit`` / ``advance_to`` / ``drain`` / ``report``
-    -- with one asynchronous difference: ``submit`` returns the routed
-    request's **seq** immediately (the pipeline is what buys the
-    multi-core speedup); the ticket arrives on the response queue and is
-    available from :attr:`tickets` after the next :meth:`sync`.
+    The :class:`~repro.serve.service.MatchingService` router over worker
+    processes -- ``register`` / ``submit`` / ``advance_to`` / ``drain``
+    / ``report`` -- with one asynchronous difference: ``submit`` returns
+    the routed request's **seq** immediately (the pipeline is what buys
+    the multi-core speedup); the ticket arrives on the response queue
+    and is available from :attr:`tickets` after the next :meth:`sync`.
 
     Parameters
     ----------
     n_workers:
         Worker-process count (= shard count; one shard per process).
     admission, batching, seed, promote_after, profile_window, verify:
-        Forwarded to every worker's single-shard service -- the same
-        knobs, so a cluster and an in-process service configured alike
-        are bit-identical.
+        Forwarded to every worker's shard -- the same knobs, so a
+        cluster and an in-process service configured alike are
+        bit-identical.
     start_method:
         ``"spawn"`` (default; the spawn-safety contract) or ``"fork"``
         (cheaper startup; the test suites use it for speed).
@@ -378,28 +249,20 @@ class ClusterService:
             raise ValueError("checkpoint_every must be >= 1")
         if queue_depth < 1:
             raise ValueError("queue_depth must be >= 1")
+        super().__init__([_WorkerHandle(i) for i in range(n_workers)],
+                         batching if batching is not None else BatchPolicy())
         self.n_workers = n_workers
-        self.admission = admission if admission is not None \
-            else AdmissionPolicy()
-        self.batching = batching if batching is not None else BatchPolicy()
         self.seed = seed
-        self.promote_after = promote_after
-        self.profile_window = profile_window
-        self.verify = verify
+        self._policies = policies_state(
+            admission if admission is not None else AdmissionPolicy(),
+            self.batching, promote_after, profile_window, verify)
         self.checkpoint_every = checkpoint_every
         self.queue_depth = queue_depth
         self.op_timeout = op_timeout
         self.max_respawns = max_respawns
         self.stages = stages
         self._ctx = mp.get_context(start_method)
-        self._workers = [_WorkerHandle(i) for i in range(n_workers)]
-        self._placement: dict[str, int] = {}   # registration order
-        self._spans: dict[str, list[str]] = {}
-        self._specs: dict[str, TenantSpec] = {}
-        self._next_seq = 0
-        self._now = 0.0
         self.tickets: dict[int, Ticket] = {}
-        self.results: list[FlushResult] = []
         self._seen_flush: set[tuple[str, int]] = set()
         self._tenant_blobs: dict[str, bytes] = {}
         self._stats_token = 0
@@ -419,34 +282,10 @@ class ClusterService:
 
     def register(self, spec: TenantSpec) -> None:
         """Register a tenant; placement is the stable CRC32 hash, with
-        worker processes standing where shards stand in-process.
-
-        Spanning tenants (``spec.span > 1``) expand router-side into
-        span-1 sub-tenants exactly as the in-process service does;
-        workers only ever see ordinary specs.
-        """
+        worker processes standing where shards stand in-process."""
         if self._started:
             raise ClusterError("register tenants before start()")
-        if spec.name in self._placement or spec.name in self._spans:
-            raise ValueError(f"tenant {spec.name!r} already registered")
-        if spec.span > 1:
-            subs = spec.sub_specs()
-            for sub in subs:
-                self.register(sub)
-            self._spans[spec.name] = [s.name for s in subs]
-            return
-        worker_id = stable_shard(spec.name, self.n_workers)
-        self._placement[spec.name] = worker_id
-        self._specs[spec.name] = spec
-        self._workers[worker_id].specs.append(spec)
-
-    def sub_tenants(self, name: str) -> list[str]:
-        """The sub-tenant names a registered tenant expands to."""
-        if name in self._spans:
-            return list(self._spans[name])
-        if name in self._placement:
-            return [name]
-        raise KeyError(f"tenant {name!r} not registered")
+        self._register(spec)
 
     def start(self) -> "ClusterService":
         """Spawn every worker process (idempotent misuse is an error)."""
@@ -504,14 +343,12 @@ class ClusterService:
     def __exit__(self, *exc) -> None:
         self.stop()
 
-    # -- virtual time -------------------------------------------------------------
+    # -- routing ------------------------------------------------------------------
 
-    @property
-    def now(self) -> float:
-        """The router's virtual clock (max over everything routed)."""
-        return self._now
-
-    # -- submission ---------------------------------------------------------------
+    def _set_clock(self, vt: float) -> None:
+        self._require_live()
+        super()._set_clock(vt)
+        self._fire_cutovers()
 
     def submit(self, tenant: str, messages: EnvelopeBatch,
                requests: EnvelopeBatch,
@@ -519,92 +356,33 @@ class ClusterService:
         """Route one request to its tenant's worker; returns its seq.
 
         Pipelined: the ticket arrives asynchronously (``tickets[seq]``
-        after the next :meth:`sync`).  Virtual time never runs backward
-        across submissions -- the same monotonicity the in-process event
-        loop enforces.
+        after the next :meth:`sync`).
         """
-        self._require_live()
-        if tenant not in self._placement:
-            raise KeyError(f"unknown tenant {tenant!r}")
-        at = self._now if at_vt is None else float(at_vt)
-        if at < self._now:
-            raise ClusterError(f"virtual time cannot run backward "
-                               f"({at} < {self._now})")
-        self._now = at
-        self._fire_cutovers()
-        w = self._workers[self._placement[tenant]]
-        seq = self._next_seq
-        self._next_seq += 1
-        stages = self.stages
-        t0 = StageClock.start() if stages is not None else 0.0
-        frame = encode_frame("submit", {
-            "tenant": tenant, "seq": seq, "at_vt": at,
-            "messages": messages.state_dict(),
-            "requests": requests.state_dict()})
-        if stages is not None:
-            stages.stop("transport", t0)
-        self._send(w, frame)
+        seq = self._submit(tenant, messages, requests, at_vt)
         self._pump()
         return seq
 
     def advance_to(self, vt: float) -> None:
         """Broadcast a virtual-time advance (fires due batch deadlines
         on every worker, each in its own ``(vt, seq)`` order)."""
-        self._require_live()
-        vt = float(vt)
-        if vt < self._now:
-            raise ClusterError(f"virtual time cannot run backward "
-                               f"({vt} < {self._now})")
-        self._now = vt
-        self._fire_cutovers()
-        frame = self._encode_transport("advance", {"vt": vt})
-        for w in self._workers:
-            self._send(w, frame)
+        self._advance(vt)
         self._pump()
 
     def drain(self) -> None:
         """Broadcast a drain: every worker flushes every accumulator."""
-        self._require_live()
-        self._fire_cutovers()
-        frame = self._encode_transport("drain", None)
-        for w in self._workers:
-            self._send(w, frame)
+        self._drain()
         self._pump()
 
-    # -- fabric plane -------------------------------------------------------------
-    #
-    # Same duck-typed surface as MatchingService: the fabric never knows
-    # which plane it is driving.  Transfers travel as journaled
-    # ``fabric_xfer`` frames, so a worker SIGKILLed mid-superstep replays
-    # them verbatim at recovery -- zero envelopes lost -- and the
-    # ``(tenant, flush_seq)`` dedupe absorbs any re-derived flushes.
-
-    def fabric_shard(self, tenant: str) -> int:
-        """Placement of one (sub-)tenant -- the fabric's routing key."""
-        return self._placement[tenant]
-
-    def fabric_alloc_seq(self) -> int:
-        """Allocate one seq from the router-owned global sequence space."""
-        seq = self._next_seq
-        self._next_seq += 1
-        return seq
-
     def fabric_deliver(self, dst_shard: int, xfer: dict) -> None:
-        """Route one fabric transfer to the destination worker."""
+        """Route one fabric transfer to the destination worker.
+
+        Transfers travel as journaled ``fabric_xfer`` frames, so a
+        worker SIGKILLed mid-superstep replays them verbatim at recovery
+        -- zero envelopes lost -- and the ``(tenant, flush_seq)`` dedupe
+        absorbs any re-derived flushes.
+        """
         self._require_live()
-        block = xfer["block"]
-        payload = {
-            "at_vt": float(xfer["at_vt"]),
-            "block": None if block is None else block.state_dict(),
-            "segments": [
-                {"tenant": seg["tenant"], "seq": seg["seq"],
-                 "start": seg["start"], "stop": seg["stop"],
-                 "requests": (None if seg["requests"] is None
-                              else seg["requests"].state_dict())}
-                for seg in xfer["segments"]],
-        }
-        frame = self._encode_transport("fabric_xfer", payload)
-        self._send(self._workers[dst_shard], frame)
+        self._send(self._workers[dst_shard], "fabric_xfer", xfer)
         self._pump()
 
     def sync(self) -> None:
@@ -622,25 +400,9 @@ class ClusterService:
         frame = self._encode_transport("stats", {"token": token})
         for w in self._workers:
             self._post_until_sent(w, frame)
-        deadline = time.monotonic() + self.op_timeout
-        while True:
-            self._pump()
-            waiting = [w for w in self._workers if w.stats_token < token]
-            if not waiting:
-                return
-            recovered = False
-            for w in waiting:
-                if not w.alive():
-                    self._recover(w)
-                    self._post_until_sent(w, frame)
-                    recovered = True
-            if recovered:
-                deadline = time.monotonic() + self.op_timeout
-            if time.monotonic() > deadline:
-                stalled = [w.worker_id for w in waiting]
-                raise ClusterError(f"workers {stalled} missed the stats "
-                                   f"barrier after {self.op_timeout}s")
-            time.sleep(0.001)
+        self._await(self._workers, lambda w: w.stats_token >= token,
+                    lambda w: self._post_until_sent(w, frame),
+                    "missed the stats barrier")
 
     # -- chaos --------------------------------------------------------------------
 
@@ -682,8 +444,8 @@ class ClusterService:
         src = self._workers[from_worker]
         self._tenant_blobs.pop(tenant, None)
         self._awaiting_blob.add(tenant)
-        self._send(src, self._encode_transport(
-            "export_tenant", {"tenant": tenant, "cutover_vt": cutover_vt}))
+        self._send(src, "export_tenant",
+                   {"tenant": tenant, "cutover_vt": cutover_vt})
         blob = self._await_tenant_blob(tenant, src)
         plan = ClusterMigration(tenant=tenant, from_worker=from_worker,
                                 to_worker=to_worker, started_vt=self._now,
@@ -726,20 +488,10 @@ class ClusterService:
         return self.begin_migration(mover, cold)
 
     def _await_tenant_blob(self, tenant: str, src: _WorkerHandle) -> bytes:
-        deadline = time.monotonic() + self.op_timeout
         try:
-            while tenant not in self._tenant_blobs:
-                self._pump()
-                if tenant in self._tenant_blobs:
-                    break
-                if not src.alive():
-                    # the journal holds the export frame; replay re-exports
-                    self._recover(src)
-                    deadline = time.monotonic() + self.op_timeout
-                if time.monotonic() > deadline:
-                    raise ClusterError(f"worker {src.worker_id} never "
-                                       f"exported tenant {tenant!r}")
-                time.sleep(0.001)
+            # the journal holds the export frame; a replay re-exports
+            self._await([src], lambda w: tenant in self._tenant_blobs,
+                        lambda w: None, f"never exported tenant {tenant!r}")
         finally:
             self._awaiting_blob.discard(tenant)
         return self._tenant_blobs.pop(tenant)
@@ -751,10 +503,8 @@ class ClusterService:
                 continue
             dst = self._workers[plan.to_worker]
             src = self._workers[plan.from_worker]
-            self._send(dst, self._encode_transport(
-                "install_tenant", {"blob": plan.state_bytes}))
-            self._send(src, self._encode_transport(
-                "release_tenant", {"tenant": plan.tenant}))
+            self._send(dst, "install_tenant", {"blob": plan.state_bytes})
+            self._send(src, "release_tenant", {"tenant": plan.tenant})
             self._placement[plan.tenant] = plan.to_worker
             plan.completed_vt = self._now
             self._pending_migrations.remove(plan)
@@ -777,23 +527,12 @@ class ClusterService:
         return frame
 
     def _init_blob(self, w: _WorkerHandle) -> bytes:
-        pol = self.admission
-        bat = self.batching
         return dumps({
             "worker_id": w.worker_id,
             "seed": self.seed,
             "checkpoint": w.checkpoint,
-            "specs": [spec_wire(s) for s in w.specs],
-            "policies": {
-                "admission": {"capacity": pol.capacity,
-                              "soft_fraction": pol.soft_fraction,
-                              "retry_after_vt": pol.retry_after_vt},
-                "batching": {"max_envelopes": bat.max_envelopes,
-                             "max_delay_vt": bat.max_delay_vt},
-                "promote_after": self.promote_after,
-                "profile_window": self.profile_window,
-                "verify": self.verify,
-            }})
+            "specs": w.specs,
+            "policies": self._policies})
 
     def _spawn(self, w: _WorkerHandle) -> None:
         w.cmd_q = self._ctx.Queue(self.queue_depth)
@@ -813,9 +552,10 @@ class ClusterService:
         w.cmd_q = None
         w.resp_q = None
 
-    def _send(self, w: _WorkerHandle, data: bytes) -> None:
-        """Journal a state-mutating frame, then deliver it.  If the
-        worker died, recovery's journal replay already delivered it.
+    def _send(self, w: _WorkerHandle, kind: str, payload=None) -> None:
+        """Encode and journal a state-mutating frame, then deliver it.
+        If the worker died, recovery's journal replay already delivered
+        it.
 
         ``_in_send`` suppresses checkpoint requests while the frame is
         journaled but not yet enqueued: a mark taken now would cover the
@@ -824,6 +564,7 @@ class ClusterService:
         effects while the truncation drops it from the journal, losing
         it from any later replay.
         """
+        data = self._encode_transport(kind, payload)
         w.journal.append(data)
         self._in_send = True
         try:
@@ -835,7 +576,9 @@ class ClusterService:
         """Deliver one raw frame, pumping responses while the command
         queue is full.  Returns ``False`` when the worker was found dead
         and recovered instead (journaled frames need no re-send; callers
-        of non-journaled frames re-send on ``False``)."""
+        of non-journaled frames re-send on ``False``).  A worker dying
+        during its own recovery replay is a hard protocol failure, not a
+        retry."""
         stages = self.stages
         deadline = time.monotonic() + self.op_timeout
         while True:
@@ -850,6 +593,9 @@ class ClusterService:
                 if not w.alive():
                     if self._stopping:
                         return False   # stop() terminates it at the join
+                    if self._in_recover:
+                        raise ClusterError(f"worker {w.worker_id} died "
+                                           f"during journal replay")
                     self._recover(w)
                     return False
                 if time.monotonic() > deadline:
@@ -861,23 +607,6 @@ class ClusterService:
         """Deliver a non-journaled frame even across a recovery."""
         while not self._post(w, data):
             pass
-
-    def _post_strict(self, w: _WorkerHandle, data: bytes) -> None:
-        """Journal-replay delivery: a worker dying *during* its own
-        recovery replay is a hard protocol failure, not a retry."""
-        deadline = time.monotonic() + self.op_timeout
-        while True:
-            try:
-                w.cmd_q.put(data, timeout=0.05)
-                return
-            except queue_mod.Full:
-                self._pump()
-                if not w.alive():
-                    raise ClusterError(f"worker {w.worker_id} died during "
-                                       f"journal replay")
-                if time.monotonic() > deadline:
-                    raise ClusterError(f"worker {w.worker_id} stalled "
-                                       f"during journal replay")
 
     def _pump(self) -> None:
         """Drain every worker's response queue without blocking."""
@@ -908,16 +637,13 @@ class ClusterService:
 
     def _handle(self, w: _WorkerHandle, kind: str, payload) -> None:
         if kind == "ticket":
-            ticket = ticket_from_wire(payload)
-            self.tickets.setdefault(ticket.seq, ticket)
+            self.tickets.setdefault(payload.seq, payload)
         elif kind == "flush":
-            result = flush_from_wire(payload)
-            key = (result.tenant, result.flush_seq)
+            key = (payload.tenant, payload.flush_seq)
             if key in self._seen_flush:
                 return   # journal replay re-delivered a known flush
             self._seen_flush.add(key)
-            result.shard_id = w.worker_id
-            self.results.append(result)
+            self.results.append(payload)
             w.flushes_since_ckpt += 1
         elif kind == "checkpointed":
             if w.ckpt_mark is None:
@@ -926,17 +652,17 @@ class ClusterService:
                 # Storing it without truncating would make the next
                 # recovery double-execute the journal -- drop it.
                 return
-            w.checkpoint = bytes(payload["blob"])
+            w.checkpoint = payload["blob"]
             del w.journal[:w.ckpt_mark]
             w.ckpt_mark = None
             w.flushes_since_ckpt = 0
         elif kind == "stats_reply":
             w.stats = payload
-            w.stats_token = int(payload["token"])
+            w.stats_token = payload["token"]
         elif kind == "tenant_state":
-            tenant = str(payload["tenant"])
+            tenant = payload["tenant"]
             if tenant in self._awaiting_blob:
-                self._tenant_blobs[tenant] = bytes(payload["blob"])
+                self._tenant_blobs[tenant] = payload["blob"]
             # else: a recovery replayed a journaled export_tenant frame
             # for a migration that already cut over -- the blob has no
             # consumer, so storing it would only accumulate stale state
@@ -989,24 +715,33 @@ class ClusterService:
         for w in targets:
             if w.ckpt_mark is None:
                 self._request_checkpoint(w)
+        self._await(targets, lambda w: w.ckpt_mark is None,
+                    self._request_checkpoint,
+                    "never answered a checkpoint request")
+
+    def _await(self, targets: list[_WorkerHandle], done, redo,
+               what: str) -> None:
+        """Pump until ``done(w)`` holds for every target.
+
+        A target found dead is recovered and then ``redo(w)`` re-issues
+        its non-journaled request.  Waiting longer than ``op_timeout``
+        without a recovery raises :class:`ClusterError`.
+        """
         deadline = time.monotonic() + self.op_timeout
         while True:
             self._pump()
-            waiting = [w for w in targets if w.ckpt_mark is not None]
+            waiting = [w for w in targets if not done(w)]
             if not waiting:
                 return
-            recovered = False
             for w in waiting:
                 if not w.alive():
                     self._recover(w)
-                    self._request_checkpoint(w)
-                    recovered = True
-            if recovered:
-                deadline = time.monotonic() + self.op_timeout
+                    redo(w)
+                    deadline = time.monotonic() + self.op_timeout
             if time.monotonic() > deadline:
                 stalled = [w.worker_id for w in waiting]
-                raise ClusterError(f"workers {stalled} never answered a "
-                                   f"checkpoint request")
+                raise ClusterError(f"workers {stalled} {what} after "
+                                   f"{self.op_timeout}s")
             time.sleep(0.001)
 
     def _recover(self, w: _WorkerHandle) -> ClusterRecovery:
@@ -1034,7 +769,7 @@ class ClusterService:
         self._in_recover = True
         try:
             for data in list(w.journal):
-                self._post_strict(w, data)
+                self._post(w, data)
         finally:
             self._in_recover = False
         record = ClusterRecovery(
@@ -1047,33 +782,9 @@ class ClusterService:
 
     # -- accounting ---------------------------------------------------------------
 
-    @property
-    def tenant_names(self) -> list[str]:
-        """Registered tenants, registration order."""
-        return list(self._placement)
-
     def ticket_list(self) -> list[Ticket]:
         """Collected tickets in seq order (complete after :meth:`sync`)."""
         return [self.tickets[seq] for seq in sorted(self.tickets)]
-
-    @property
-    def latencies_vt(self) -> np.ndarray:
-        """Per-request virtual latencies across every flush."""
-        lats: list[float] = []
-        for r in self.results:
-            lats.extend(r.latencies_vt)
-        return np.asarray(lats, dtype=float)
-
-    @property
-    def shed_counts(self) -> dict[str, int]:
-        """Aggregate shed accounting across workers (post-:meth:`sync`)."""
-        totals = {"retryable": 0, "overloaded": 0, "migrating": 0}
-        for w in self._workers:
-            if w.stats is None:
-                continue
-            for key in totals:
-                totals[key] += int(w.stats["counts"][key])
-        return totals
 
     def worker_stats(self) -> list[dict]:
         """Each worker's last stats frame (requires a :meth:`sync`)."""
@@ -1122,41 +833,6 @@ class ClusterService:
                 totals[stage] += float(seconds)
         return totals
 
-    def report(self) -> dict:
-        """The in-process service's report, assembled across processes.
-
-        Same keys, same estimator (the bucketed percentile), same
-        values for a same-seed run -- the identity suite diffs this dict
-        against ``MatchingService.report()`` directly.  Requires a
-        completed :meth:`sync`.
-        """
-        stats = self.worker_stats()
-        lat = self.latencies_vt
-        p50_us = percentile(lat * 1e6, 50)
-        p99_us = percentile(lat * 1e6, 99)
-        shed = self.shed_counts
-        tenants: dict[str, dict] = {}
-        for name, worker_id in self._placement.items():
-            wstats = stats[worker_id]
-            tinfo = dict(wstats["report"]["tenants"][name])
-            tinfo["shard"] = worker_id
-            tenants[name] = tinfo
-        return {
-            "virtual_seconds": self._now,
-            "submitted": self._next_seq,
-            "accepted": sum(int(s["counts"]["admitted"]) for s in stats),
-            "shed_retryable": shed["retryable"],
-            "shed_overloaded": shed["overloaded"],
-            "shed_migrating": shed["migrating"],
-            "flushes": len(self.results),
-            "matched": int(sum(r.outcome.matched_count
-                               for r in self.results)),
-            "retunes": sum(int(s["report"]["retunes"]) for s in stats),
-            "latency_p50_vt": p50_us / 1e6 if p50_us is not None else None,
-            "latency_p99_vt": p99_us / 1e6 if p99_us is not None else None,
-            "tenants": tenants,
-        }
-
 
 # ---------------------------------------------------------------------------
 # Open-loop harness
@@ -1176,9 +852,9 @@ def run_cluster_workload(workload: ServeWorkload, *, n_workers: int = 2,
                          ) -> tuple[ClusterService, float]:
     """Drive a cluster through a workload; returns (cluster, wall seconds).
 
-    The multi-process mirror of :func:`~repro.serve.loadgen.run_workload`:
-    same submission loop, same final timer run-out and drain, plus the
-    stats barrier that completes ticket/result collection.  Wall time
+    The multi-process twin of :func:`~repro.serve.loadgen.run_workload`:
+    the same drive loop, whose final stats barrier completes ticket and
+    result collection.  Wall time
     covers submission through barrier (worker startup and teardown are
     excluded, like service construction is in-process).  ``arm_exit``
     optionally arms a chaos kill as ``(worker_id, after_flushes)``.
@@ -1198,16 +874,7 @@ def run_cluster_workload(workload: ServeWorkload, *, n_workers: int = 2,
     try:
         if arm_exit is not None:
             cluster.arm_worker_exit(*arm_exit)
-        t0 = time.perf_counter()
-        for arrival in workload.arrivals:
-            cluster.submit(arrival.tenant, arrival.messages,
-                           arrival.requests, at_vt=arrival.vt)
-        if workload.arrivals:
-            cluster.advance_to(cluster.now
-                               + 2.0 * cluster.batching.max_delay_vt)
-        cluster.drain()
-        cluster.sync()
-        wall = time.perf_counter() - t0
+        wall = _drive(cluster, workload)
     finally:
         cluster.stop()
     return cluster, wall

@@ -29,11 +29,11 @@ scan) runs unmodified over the serve plane: collective supersteps become
 fabric flushes, and the match outcome of each sub-shard's flush routes
 payloads back to the waiting receive handles.
 
-The fabric drives both planes through one duck-typed surface
-(``fabric_shard`` / ``fabric_alloc_seq`` / ``fabric_deliver`` /
-``sub_tenants``), implemented identically by
+The fabric drives both planes through one surface (``fabric_shard`` /
+``fabric_alloc_seq`` / ``fabric_deliver`` / ``sub_tenants``),
+implemented once by the :class:`~repro.serve.service.Router` that
 :class:`~repro.serve.service.MatchingService` and
-:class:`~repro.serve.cluster.ClusterService` -- which is what keeps
+:class:`~repro.serve.cluster.ClusterService` share -- which is what keeps
 same-seed fabric runs bit-identical across the process boundary, SIGKILL
 or no SIGKILL (cluster transfers are journaled ``fabric_xfer`` frames;
 recovery replays them verbatim).
@@ -149,9 +149,8 @@ class Fabric:
     ----------
     plane:
         A :class:`~repro.serve.service.MatchingService` or
-        :class:`~repro.serve.cluster.ClusterService` (anything with the
-        ``fabric_shard`` / ``fabric_alloc_seq`` / ``fabric_deliver``
-        surface and ``now``).
+        :class:`~repro.serve.cluster.ClusterService` (a
+        :class:`~repro.serve.service.Router` with ``fabric_deliver``).
     link:
         Wire-time model; default :class:`FabricLink`.
     stages:

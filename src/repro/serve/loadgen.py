@@ -206,18 +206,24 @@ def run_workload(workload: ServeWorkload, *, n_shards: int = 1,
                               verify=verify, obs=obs, stages=stages)
     for spec in workload.tenants:
         service.register(spec)
+    return service, _drive(service, workload)
+
+
+def _drive(plane, workload: ServeWorkload) -> float:
+    """Submit every arrival, run out the armed deadline timers, drain,
+    and (on a plane that has one) pass the stats barrier; returns the
+    wall seconds this took."""
     t0 = time.perf_counter()
     for arrival in workload.arrivals:
-        service.submit(arrival.tenant, arrival.messages, arrival.requests,
-                       at_vt=arrival.vt)
+        plane.submit(arrival.tenant, arrival.messages, arrival.requests,
+                     at_vt=arrival.vt)
     if workload.arrivals:
-        # run out every armed deadline timer before the final drain
-        last_deadline = service.loop.now + (
-            service.shards[0].batching.max_delay_vt * 2)
-        service.advance_to(last_deadline)
-    service.drain()
-    wall = time.perf_counter() - t0
-    return service, wall
+        plane.advance_to(plane.now + 2.0 * plane.batching.max_delay_vt)
+    plane.drain()
+    sync = getattr(plane, "sync", None)
+    if sync is not None:
+        sync()
+    return time.perf_counter() - t0
 
 
 def demo(seed: int = 0, steps: int = 3, n_ranks: int = 16,

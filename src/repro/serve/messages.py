@@ -32,7 +32,8 @@ from ..core.relaxations import RelaxationSet
 from ..core.result import MatchOutcome
 
 __all__ = ["ACCEPTED", "RETRYABLE", "OVERLOADED", "MIGRATING", "TenantSpec",
-           "ServeRequest", "Ticket", "FlushResult", "ShardCrash"]
+           "ServeRequest", "Ticket", "FlushResult", "ShardCrash",
+           "ClusterError"]
 
 #: Ticket status: the request was admitted to the tenant's accumulator.
 ACCEPTED = "accepted"
@@ -50,6 +51,11 @@ OVERLOADED = "overloaded"
 #: (the deterministic cutover time).  Unlike ``overloaded``, nothing is
 #: dropped for capacity reasons -- migration sheds only with a hint.
 MIGRATING = "migrating"
+
+
+class ClusterError(RuntimeError):
+    """A router protocol failure (stalled worker, barrier timeout,
+    misuse of the router API such as running virtual time backward)."""
 
 
 class ShardCrash(RuntimeError):

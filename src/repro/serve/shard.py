@@ -24,7 +24,7 @@ The flush path is where every prior subsystem composes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +60,6 @@ class TenantState:
     pending_retune_cycles: float = 0.0
     #: engine demotions already mirrored into the retune log
     demotions_seen: int = 0
-    results: list[FlushResult] = field(default_factory=list)
     #: persistent-UMQ carry-over (``None`` for stateless tenants)
     session: SessionState | None = None
 
@@ -156,17 +155,6 @@ class Shard:
     def inbox_depth(self) -> int:
         """Pending envelopes across every tenant accumulator."""
         return sum(len(ts.accumulator) for ts in self.tenants.values())
-
-    def windowed_volume(self) -> int:
-        """Windowed message volume across the shard's tenants.
-
-        Summed per-tenant profiler windows -- the load signal behind both
-        the cluster router's hot-spot rebalancer and the cluster bench's
-        per-shard imbalance statistic (max/mean of this value across
-        workers), so "hot" means the same thing everywhere.
-        """
-        return sum(ts.profiler.profile().n_messages
-                   for ts in self.tenants.values())
 
     def next_deadline_vt(self) -> float | None:
         """Earliest pending batch deadline across the shard's tenants.
@@ -342,7 +330,6 @@ class Shard:
             meta=meta)
         ts.flush_seq += 1
         ts.matched_total += outcome.matched_count
-        ts.results.append(result)
         # profile the flushed stream and maybe retune for the next flush
         ts.profiler.ingest(messages, requests, outcome)
         new_rel = ts.autotuner.consider(ts.relaxations,

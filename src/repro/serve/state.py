@@ -23,25 +23,27 @@ the data plane already uses:
   encoding would corrupt.  No pickle anywhere -- a snapshot is data,
   never code.
 
-* **Snapshot builders** (:func:`snapshot_service` /
-  :func:`restore_service`, :func:`export_tenant` /
-  :func:`install_tenant`) -- a deterministic
-  deep capture of everything a bit-identical continuation needs: every
-  tenant engine's lattice position and demotion log, accumulator
-  contents and epoch counters, profiler windows, autotuner hysteresis,
-  session carry-over, the event loop's ``(vt, seq)`` cursor and RNG
-  state, and the service's result/ticket ledgers.  Restoring a snapshot
-  taken at flush *k* and replaying the remaining stream produces
-  outcomes identical to the uninterrupted run (pinned by
-  ``tests/serve/test_state.py``); the same builders power the cluster
-  router's worker checkpoints and live tenant migration
-  (:mod:`repro.serve.cluster`).
+* **Snapshot builders** (:func:`worker_state` /
+  :func:`install_worker`, :func:`export_tenant` /
+  :func:`install_tenant`, :func:`snapshot_service` /
+  :func:`restore_service`) -- a deterministic deep capture of everything
+  a bit-identical continuation needs: every tenant engine's lattice
+  position and demotion log, accumulator contents and epoch counters,
+  profiler windows, autotuner hysteresis, session carry-over, and each
+  worker's event loop ``(vt, seq)`` cursor and RNG state.  Worker
+  checkpoints and migration blobs carry no result or ticket ledgers:
+  those live only in the router, and only a whole in-process
+  :func:`snapshot_service` writes them.  Restoring a snapshot taken at
+  flush *k* and replaying the remaining stream produces outcomes
+  identical to the uninterrupted run (pinned by
+  ``tests/serve/test_state.py``).
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
+from dataclasses import asdict
 
 import numpy as np
 
@@ -57,8 +59,9 @@ from .messages import FlushResult, ServeRequest, TenantSpec, Ticket
 from .profiler import StreamProfiler
 
 __all__ = ["SnapshotError", "SNAPSHOT_MAGIC", "SNAPSHOT_VERSION",
-           "dumps", "loads", "SessionState",
-           "export_tenant", "install_tenant",
+           "dumps", "loads", "SessionState", "policies_state",
+           "policies_from", "export_tenant", "install_tenant",
+           "worker_state", "install_worker",
            "snapshot_service", "restore_service"]
 
 
@@ -71,7 +74,9 @@ SNAPSHOT_MAGIC = b"RSRVSNAP"
 
 #: Format version; bumped on any incompatible layout change.  A restore
 #: refuses a version it does not know instead of misreading it.
-SNAPSHOT_VERSION = 1
+#: Version 2: serve message types are tagged values, and per-worker
+#: state carries no result ledgers.
+SNAPSHOT_VERSION = 2
 
 _T_NONE = 0x00
 _T_FALSE = 0x01
@@ -84,6 +89,7 @@ _T_NDARRAY = 0x07  # dtype str + ndim + u64 dims + u64 length + raw buffer
 _T_LIST = 0x08     # u32 count + items
 _T_TUPLE = 0x09    # u32 count + items
 _T_DICT = 0x0A     # u32 count + (key, value) pairs, insertion order
+_T_TYPED = 0x0B    # 0x0B + index into _TYPES, then the canonical form
 
 
 class SnapshotError(ValueError):
@@ -143,6 +149,11 @@ def _enc(obj, out: bytearray) -> None:
             _enc(key, out)
             _enc(value, out)
     else:
+        for i, (cls, to_state, _) in enumerate(_TYPES):
+            if isinstance(obj, cls):
+                out.append(_T_TYPED + i)
+                _enc(to_state(obj), out)
+                return
         raise SnapshotError(f"cannot snapshot object of type "
                             f"{type(obj).__name__}")
 
@@ -222,6 +233,9 @@ def _dec(data: bytes, pos: int) -> tuple[object, int]:
             value, pos = _dec(data, pos)
             out[key] = value
         return out, pos
+    if _T_TYPED <= tag < _T_TYPED + len(_TYPES):
+        state, pos = _dec(data, pos)
+        return _TYPES[tag - _T_TYPED][2](state), pos
     raise SnapshotError(f"unknown snapshot type tag 0x{tag:02x}")
 
 
@@ -437,32 +451,6 @@ def _spec_from(state: dict) -> TenantSpec:
         span=int(state.get("span", 1)))
 
 
-def _request_state(r: ServeRequest) -> dict:
-    return {"tenant": r.tenant, "seq": r.seq, "arrival_vt": r.arrival_vt,
-            "messages": r.messages.state_dict(),
-            "requests": r.requests.state_dict()}
-
-
-def _request_from(state: dict) -> ServeRequest:
-    return ServeRequest(
-        tenant=str(state["tenant"]), seq=int(state["seq"]),
-        arrival_vt=float(state["arrival_vt"]),
-        messages=EnvelopeBatch.from_state_dict(state["messages"]),
-        requests=EnvelopeBatch.from_state_dict(state["requests"]))
-
-
-def _ticket_state(t: Ticket) -> tuple:
-    return (t.status, t.tenant, t.seq, t.retry_after_vt, t.reason)
-
-
-def _ticket_from(state: tuple) -> Ticket:
-    status, tenant, seq, retry_after_vt, reason = state
-    return Ticket(status=str(status), tenant=str(tenant), seq=int(seq),
-                  retry_after_vt=(None if retry_after_vt is None
-                                  else float(retry_after_vt)),
-                  reason=str(reason))
-
-
 def _outcome_state(o: MatchOutcome) -> dict:
     return {"request_to_message": o.request_to_message,
             "n_messages": o.n_messages, "n_requests": o.n_requests,
@@ -502,9 +490,44 @@ def _flush_result_from(state: dict) -> FlushResult:
         engine_label=str(state["engine_label"]), meta=dict(state["meta"]))
 
 
+#: The serve message types the codec carries as tagged values, each
+#: with its canonical form and the inverse.  Append only: a type's tag
+#: is ``_T_TYPED`` plus its index here.
+_TYPES = (
+    (EnvelopeBatch, EnvelopeBatch.state_dict, EnvelopeBatch.from_state_dict),
+    (ServeRequest,
+     lambda r: (r.tenant, r.seq, r.arrival_vt, r.messages, r.requests),
+     lambda s: ServeRequest(*s)),
+    (Ticket,
+     lambda t: (t.status, t.tenant, t.seq, t.retry_after_vt, t.reason),
+     lambda s: Ticket(*s)),
+    (FlushResult, _flush_result_state, _flush_result_from),
+    (TenantSpec, _spec_state, _spec_from),
+)
+
+
 # ---------------------------------------------------------------------------
-# Tenant / shard / service snapshot builders
+# Tenant / worker / service snapshot builders
 # ---------------------------------------------------------------------------
+
+def policies_state(admission: AdmissionPolicy, batching: BatchPolicy,
+                   promote_after: int, profile_window: int,
+                   verify: bool) -> dict:
+    """The shard policies a worker is built from, in snapshot form."""
+    return {"admission": asdict(admission), "batching": asdict(batching),
+            "promote_after": promote_after,
+            "profile_window": profile_window, "verify": verify}
+
+
+def policies_from(state: dict) -> dict:
+    """Inverse of :func:`policies_state`, as keyword arguments for
+    :class:`~repro.serve.service.ShardWorker`."""
+    return {"admission": AdmissionPolicy(**state["admission"]),
+            "batching": BatchPolicy(**state["batching"]),
+            "promote_after": state["promote_after"],
+            "profile_window": state["profile_window"],
+            "verify": state["verify"]}
+
 
 def export_tenant(ts) -> dict:
     """Deep state of one tenant (a :class:`~repro.serve.shard.TenantState`).
@@ -512,11 +535,9 @@ def export_tenant(ts) -> dict:
     Self-contained: :func:`install_tenant` can rebuild the tenant inside
     any shard -- the unit live migration serializes across shards.
     """
-    acc = ts.accumulator.export_state()
-    acc["pending"] = [_request_state(r) for r in acc["pending"]]
-    return {"spec": _spec_state(ts.spec),
+    return {"spec": ts.spec,
             "engine": ts.engine.export_state(),
-            "accumulator": acc,
+            "accumulator": ts.accumulator.export_state(),
             "profiler": ts.profiler.export_state(),
             "autotuner": ts.autotuner.export_state(),
             "session": (None if ts.session is None
@@ -526,8 +547,7 @@ def export_tenant(ts) -> dict:
             "requests_total": ts.requests_total,
             "pending_retune_seconds": ts.pending_retune_seconds,
             "pending_retune_cycles": ts.pending_retune_cycles,
-            "demotions_seen": ts.demotions_seen,
-            "results": [_flush_result_state(r) for r in ts.results]}
+            "demotions_seen": ts.demotions_seen}
 
 
 def install_tenant(shard, state: dict):
@@ -538,13 +558,11 @@ def install_tenant(shard, state: dict):
     """
     from .shard import TenantState  # local: shard.py imports this module
 
-    spec = _spec_from(state["spec"])
+    spec = state["spec"]
     engine = MatchingEngine.from_state(state["engine"], gpu=shard.gpu,
                                        verify=shard.verify, obs=shard._obs)
     accumulator = BatchAccumulator(shard.batching)
-    acc_state = dict(state["accumulator"])
-    acc_state["pending"] = [_request_from(r) for r in acc_state["pending"]]
-    accumulator.restore_state(acc_state)
+    accumulator.restore_state(state["accumulator"])
     profiler = StreamProfiler(shard.profile_window)
     profiler.restore_state(state["profiler"])
     autotuner = Autotuner(spec, gpu=shard.gpu,
@@ -559,54 +577,55 @@ def install_tenant(shard, state: dict):
         pending_retune_seconds=float(state["pending_retune_seconds"]),
         pending_retune_cycles=float(state["pending_retune_cycles"]),
         demotions_seen=int(state["demotions_seen"]),
-        results=[_flush_result_from(r) for r in state["results"]],
         session=(None if state["session"] is None
                  else SessionState.from_state(state["session"])))
     shard.tenants[spec.name] = ts
     return ts
 
 
-def _shard_state(shard) -> dict:
-    return {"shard_id": shard.shard_id,
+def worker_state(worker) -> dict:
+    """Deep state of one :class:`~repro.serve.service.ShardWorker`: its
+    event loop and its shard (a cluster worker's checkpoint)."""
+    shard = worker.shard
+    return {"loop": worker.loop.export_state(),
             "admission_counters": shard.admission.export_state(),
             "migrating": dict(shard.migrating),
             "flushes_done": shard.flushes_done,
-            "tenants": {name: export_tenant(ts)
-                        for name, ts in shard.tenants.items()}}
+            "tenants": [export_tenant(ts) for ts in shard.tenants.values()]}
 
 
-def service_state(svc) -> dict:
-    """The full service state tree (pre-encoding form)."""
-    shard0 = svc.shards[0]
-    pol = shard0.admission.policy
-    return {
-        "n_shards": len(svc.shards),
-        "loop": svc.loop.export_state(),
-        "placement": dict(svc._placement),
-        "next_seq": svc._next_seq,
-        "policies": {
-            "admission": {"capacity": pol.capacity,
-                          "soft_fraction": pol.soft_fraction,
-                          "retry_after_vt": pol.retry_after_vt},
-            "batching": {"max_envelopes": shard0.batching.max_envelopes,
-                         "max_delay_vt": shard0.batching.max_delay_vt},
-            "promote_after": shard0.promote_after,
-            "profile_window": shard0.profile_window,
-            "verify": shard0.verify,
-        },
-        "shards": [_shard_state(s) for s in svc.shards],
-        "results": [_flush_result_state(r) for r in svc.results],
-        "tickets": [_ticket_state(t) for t in svc.tickets],
-    }
+def install_worker(worker, state: dict) -> None:
+    """Restore :func:`worker_state` into a freshly built worker."""
+    worker.loop.restore_state(state["loop"])
+    shard = worker.shard
+    shard.admission.restore_state(state["admission_counters"])
+    shard.migrating = dict(state["migrating"])
+    shard.flushes_done = int(state["flushes_done"])
+    for tstate in state["tenants"]:
+        install_tenant(shard, tstate)
 
 
 def snapshot_service(svc) -> bytes:
-    """Snapshot a whole :class:`~repro.serve.service.MatchingService`.
+    """Snapshot a whole :class:`~repro.serve.service.MatchingService`:
+    every worker plus the router's clock, placement, sequence space and
+    result/ticket ledgers.
 
     The returned bytes are the versioned, CRC-guarded binary form; feed
     them to :func:`restore_service`.
     """
-    return dumps(service_state(svc))
+    shard = svc._workers[0].shard
+    return dumps({
+        "policies": policies_state(shard.admission.policy, shard.batching,
+                                   shard.promote_after,
+                                   shard.profile_window, shard.verify),
+        "now": svc.now,
+        "placement": svc._placement,
+        "spans": svc._spans,
+        "next_seq": svc._next_seq,
+        "workers": [worker_state(w) for w in svc._workers],
+        "results": svc.results,
+        "tickets": svc.tickets,
+    })
 
 
 def restore_service(data: bytes, gpu: GPUSpec = PASCAL_GTX1080,
@@ -622,32 +641,15 @@ def restore_service(data: bytes, gpu: GPUSpec = PASCAL_GTX1080,
     from .service import MatchingService  # local: avoid import cycle
 
     state = loads(data)
-    pol = state["policies"]
-    svc = MatchingService(
-        n_shards=int(state["n_shards"]), gpu=gpu,
-        admission=AdmissionPolicy(
-            capacity=int(pol["admission"]["capacity"]),
-            soft_fraction=float(pol["admission"]["soft_fraction"]),
-            retry_after_vt=(None if pol["admission"]["retry_after_vt"] is None
-                            else float(pol["admission"]["retry_after_vt"]))),
-        batching=BatchPolicy(
-            max_envelopes=int(pol["batching"]["max_envelopes"]),
-            max_delay_vt=float(pol["batching"]["max_delay_vt"])),
-        seed=int(state["loop"]["seed"]),
-        promote_after=int(pol["promote_after"]),
-        profile_window=int(pol["profile_window"]),
-        verify=bool(pol["verify"]), obs=obs, stages=stages)
-    svc.loop.restore_state(state["loop"])
-    svc._placement = {str(k): int(v) for k, v in state["placement"].items()}
-    svc._next_seq = int(state["next_seq"])
-    for sstate in state["shards"]:
-        shard = svc.shards[int(sstate["shard_id"])]
-        shard.admission.restore_state(sstate["admission_counters"])
-        shard.migrating = {str(k): float(v)
-                           for k, v in sstate["migrating"].items()}
-        shard.flushes_done = int(sstate["flushes_done"])
-        for tstate in sstate["tenants"].values():
-            install_tenant(shard, tstate)
-    svc.results = [_flush_result_from(r) for r in state["results"]]
-    svc.tickets = [_ticket_from(t) for t in state["tickets"]]
+    svc = MatchingService(n_shards=len(state["workers"]), gpu=gpu,
+                          obs=obs, stages=stages,
+                          **policies_from(state["policies"]))
+    for worker, wstate in zip(svc._workers, state["workers"]):
+        install_worker(worker, wstate)
+    svc._now = state["now"]
+    svc._placement = state["placement"]
+    svc._spans = state["spans"]
+    svc._next_seq = state["next_seq"]
+    svc.results = state["results"]
+    svc.tickets = state["tickets"]
     return svc

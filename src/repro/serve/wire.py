@@ -14,9 +14,10 @@ Design points:
 * **No pickle of live objects.**  Envelope batches cross the boundary as
   their packed column ``state_dict`` (the cached packed64 key column
   included -- the zero re-marshalling contract survives the process
-  hop); tickets, flush results, and tenant specs use the snapshot
-  plane's canonical tuple/dict forms.  The only thing multiprocessing
-  itself ever transports is ``bytes``.
+  hop); requests, tickets, flush results, and tenant specs are the
+  snapshot codec's tagged values, so a frame payload holds the same
+  live objects a loopback worker is handed.  The only thing
+  multiprocessing itself ever transports is ``bytes``.
 * **Every single-bit corruption is rejected.**  A flipped bit lands in
   the magic (bad magic), the version (unsupported version), the length
   field (length mismatch), or the CRC-covered region (CRC mismatch) --
@@ -33,23 +34,18 @@ from __future__ import annotations
 import struct
 import zlib
 
-from .messages import FlushResult, TenantSpec, Ticket
-from .state import (SnapshotError, _dec, _enc, _flush_result_from,
-                    _flush_result_state, _spec_from, _spec_state,
-                    _ticket_from, _ticket_state)
+from .state import SnapshotError, _dec, _enc
 
 __all__ = ["WIRE_MAGIC", "WIRE_VERSION", "FRAME_KINDS", "WireError",
-           "encode_frame", "decode_frame",
-           "ticket_wire", "ticket_from_wire",
-           "flush_wire", "flush_from_wire",
-           "spec_wire", "spec_from_wire"]
+           "encode_frame", "decode_frame"]
 
 #: Wire frame magic (8 bytes; distinct from the snapshot magic so a
 #: frame can never be mistaken for a checkpoint blob or vice versa).
 WIRE_MAGIC = b"RSRVWIRE"
 
 #: Frame format version; decoders refuse versions they do not know.
-WIRE_VERSION = 1
+#: Version 2: payloads carry the snapshot codec's tagged serve types.
+WIRE_VERSION = 2
 
 #: The protocol's frame kinds.  Router -> worker: ``submit`` (one routed
 #: request), ``advance`` (broadcast virtual-time advance), ``drain``
@@ -125,38 +121,3 @@ def decode_frame(data: bytes) -> tuple[str, object]:
         raise WireError("trailing bytes after frame payload")
     return FRAME_KINDS[kind_id], payload
 
-
-# -- message-type payload forms --------------------------------------------------
-#
-# Thin public faces over the snapshot plane's canonical serializers, so
-# the cluster module never reaches into state.py's underscore namespace
-# and the two planes cannot drift apart on field layout.
-
-def ticket_wire(ticket: Ticket) -> tuple:
-    """A ticket's wire payload (the snapshot plane's tuple form)."""
-    return _ticket_state(ticket)
-
-
-def ticket_from_wire(payload) -> Ticket:
-    """Inverse of :func:`ticket_wire`."""
-    return _ticket_from(payload)
-
-
-def flush_wire(result: FlushResult) -> dict:
-    """A flush result's wire payload (columns and outcome included)."""
-    return _flush_result_state(result)
-
-
-def flush_from_wire(payload: dict) -> FlushResult:
-    """Inverse of :func:`flush_wire`."""
-    return _flush_result_from(payload)
-
-
-def spec_wire(spec: TenantSpec) -> dict:
-    """A tenant spec's wire payload."""
-    return _spec_state(spec)
-
-
-def spec_from_wire(payload: dict) -> TenantSpec:
-    """Inverse of :func:`spec_wire`."""
-    return _spec_from(payload)

@@ -116,6 +116,36 @@ class TestClusterIdentity:
         assert_identical(cluster, svc)
 
 
+class TestPerShardOrder:
+    def test_results_keep_each_shards_order(self):
+        """Both planes may group a call's flushes by worker, but each
+        shard's own result sequence is the same, in order (the keyed
+        comparison above ignores order)."""
+        parts = [workload_from_app(app, rate_rps=2000.0, n_ranks=16,
+                                   steps=3, seed=3,
+                                   ordering_required=ordered)
+                 for app, ordered in (("df_minife", True),
+                                      ("exmatex_lulesh", True),
+                                      ("df_amg", False))]
+        assert [stable_shard(p.tenants[0].name, 2) for p in parts] == \
+            [1, 1, 0]
+        wl = merge_workloads("ordered", parts)
+        svc, _ = run_workload(wl, n_shards=2, seed=3)
+        cluster, _ = run_cluster_workload(wl, n_workers=2, seed=3,
+                                          start_method="fork")
+
+        def shard_results(plane, shard_id):
+            return [(r.tenant, r.flush_seq, r.flush_vt, r.covered_seqs,
+                     r.latencies_vt, r.engine_label,
+                     r.outcome.request_to_message.tolist())
+                    for r in plane.results if r.shard_id == shard_id]
+
+        for shard_id in (0, 1):
+            expected = shard_results(svc, shard_id)
+            assert expected, f"shard {shard_id} produced no flushes"
+            assert shard_results(cluster, shard_id) == expected
+
+
 class TestRouterMechanics:
     def test_placement_is_the_stable_hash(self):
         wl = mixed_workload(seed=7, steps=2, n_ranks=8)

@@ -86,6 +86,26 @@ class TestCheckpoints:
         assert any(w.checkpoint is not None for w in cluster._workers)
         _exactly_once(cluster)
 
+    def test_checkpoint_size_does_not_grow_with_flushes(self):
+        """A worker checkpoint carries worker state, not the flush
+        results the router already holds: a stateless tenant's blob
+        after 64 flushes is at most twice its size after 8."""
+        cluster = ClusterService(
+            n_workers=1, seed=0, start_method="fork",
+            batching=BatchPolicy(max_envelopes=8, max_delay_vt=1.0))
+        cluster.register(TenantSpec(name="t", autotune=False))
+        msgs = EnvelopeBatch(src=[0, 1, 2, 3], tag=[5, 5, 5, 5])
+        sizes = []
+        with cluster:
+            for k in range(64):
+                cluster.submit("t", msgs, msgs, at_vt=k * 1e-3)  # 1 flush
+                if k + 1 in (8, 64):
+                    cluster.checkpoint_now(0)
+                    sizes.append(len(cluster._workers[0].checkpoint))
+            cluster.sync()
+        assert len(cluster.results) == 64
+        assert sizes[1] <= 2 * sizes[0]
+
     def test_bad_cadence_rejected(self):
         with pytest.raises(ValueError):
             ClusterService(n_workers=2, checkpoint_every=0)
