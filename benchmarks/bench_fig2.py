@@ -63,8 +63,7 @@ def test_report_figure2_distribution():
     sections = []
     for app in ("exmatex_lulesh", "exact_cns", "exact_multigrid",
                 "cesar_nekbone"):
-        states = replay(generate_trace(app))
-        depths = [s.umq_stats.max_depth for s in states]
+        depths = replay(generate_trace(app))["umq_max"].tolist()
         sections.append(ascii_histogram(
             depths, bins=[0, 8, 64, 512, 2048, 8192],
             title=f"{app}: per-rank max UMQ depth ({len(depths)} ranks)"))

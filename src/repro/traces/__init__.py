@@ -13,15 +13,14 @@ from .analyzer import TableIRow, analyze, rank_usage_uniformity
 from .events import Trace
 from .generator import APP_MODELS, app_names, generate_trace, get_model
 from .io import dumps, load_trace, loads, save_trace
-from .queue_replay import (QueueDepthStats, RankReplay, figure2_summary,
-                           replay)
+from .queue_replay import figure2_summary, replay
 from .uniqueness import per_destination_shares, tuple_uniqueness
 
 __all__ = [
     "Trace",
     "APP_MODELS", "app_names", "generate_trace", "get_model",
     "TableIRow", "analyze", "rank_usage_uniformity",
-    "QueueDepthStats", "RankReplay", "replay", "figure2_summary",
+    "replay", "figure2_summary",
     "save_trace", "load_trace", "dumps", "loads",
     "per_destination_shares", "tuple_uniqueness",
 ]

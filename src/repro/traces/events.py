@@ -23,9 +23,9 @@ one row per event (:data:`COLUMNS` fixes names and dtypes):
 
 The columns are the only representation: the trace models write them,
 and the analyses, the serve loadgen and the JSONL reader and writer read
-them.  Code that must walk events one at a time (the queue replay, the
-JSONL writer) iterates ``trace.events``, which yields each row as a
-plain tuple of Python scalars in :data:`COLUMNS` order.  A real dumpi
+them.  The one reader that walks events one at a time, the JSONL
+writer, iterates ``trace.events``, which yields each row as a plain
+tuple of Python scalars in :data:`COLUMNS` order.  A real dumpi
 parser would fill the same columns.
 """
 
@@ -89,7 +89,8 @@ class Trace:
         reproducibility.
 
     The columns are validated on construction: kind values, time order,
-    rank range, and send-destination range.
+    rank range, send-destination range, and post-source range (a rank or
+    ``-1``, the ``ANY_SOURCE`` wildcard).
     """
 
     def __init__(self, app: str, n_ranks: int,
@@ -119,7 +120,7 @@ class Trace:
     def _validate(self, raw_kind: np.ndarray) -> None:
         """Raise on the first (lowest-row) violation, checks in the order
         kind (``raw_kind``: the kind column before its int8 cast), time,
-        rank, send dst."""
+        rank, send dst, post src."""
         kind, rank, peer, time = (self.columns[name] for name in
                                   ("kind", "rank", "peer", "time"))
         n = self.n_ranks
@@ -134,6 +135,9 @@ class Trace:
              lambda i: f"event rank {rank[i]} out of range"),
             (np.flatnonzero((kind == KIND_SEND) & ((peer < 0) | (peer >= n))),
              lambda i: f"send dst {peer[i]} out of range"),
+            # -1, the ANY_SOURCE wildcard, is a post's only negative src
+            (np.flatnonzero((kind == KIND_POST) & ((peer < -1) | (peer >= n))),
+             lambda i: f"post src {peer[i]} out of range"),
         )
         bad = [(int(rows[0]), order, message)
                for order, (rows, message) in enumerate(checks) if rows.size]

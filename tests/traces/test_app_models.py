@@ -98,9 +98,9 @@ class TestEveryModelStructure:
         eventually received."""
         tr = generate_trace(app, n_ranks=8, steps=2, seed=1)
         from repro.traces.queue_replay import replay
-        states = replay(tr)
-        assert sum(len(s.umq) for s in states) == 0
-        assert sum(len(s.prq) for s in states) == 0
+        stats = replay(tr)
+        assert stats["umq_left"].sum() == 0
+        assert stats["prq_left"].sum() == 0
 
     def test_wildcard_flags_honest(self, app):
         """The model's declared wildcard usage matches its trace."""

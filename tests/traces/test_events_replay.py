@@ -1,4 +1,4 @@
-"""Trace container, indexed queue replay, and analyzer mechanics."""
+"""Trace container, queue replay semantics, and analyzer mechanics."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ import pytest
 from repro.traces.analyzer import (analyze, normalized_entropy,
                                    rank_usage_uniformity, tag_distribution)
 from repro.traces.events import Trace
-from repro.traces.queue_replay import (RankReplay, figure2_summary, replay,
-                                       _IndexedQueue)
+from repro.traces.queue_replay import figure2_summary, replay
 from repro.traces.uniqueness import per_destination_shares, tuple_uniqueness
 from tests.traces.rows import barrier, columns
 from tests.traces.rows import post as P
@@ -30,8 +29,18 @@ class TestTrace:
         # the first offending row is reported, whatever the check
         with pytest.raises(ValueError, match="dst 7"):
             T([S(1, 0, 7, 0), S(2, 4, 1, 0)])
-        # a post's src is not range-checked (it may be a wildcard)
+        # a post's src may be the ANY_SOURCE wildcard (-1)
         assert len(T([P(1, 0, -1, 0)])) == 1
+
+    def test_post_src_range_checked(self):
+        for src in (9, -3, 2):
+            with pytest.raises(ValueError, match=f"post src {src} out"):
+                T([S(1, 0, 1, 0), P(2, 1, src, 0)])
+        # the first offending row is reported, whatever the check
+        with pytest.raises(ValueError, match="post src 9"):
+            T([P(1, 0, 9, 0), S(2, 0, 7, 0)])
+        with pytest.raises(ValueError, match="dst 7"):
+            T([S(1, 0, 7, 0), P(2, 0, 9, 0)])
 
     def test_unknown_kind_rejected_before_the_int8_cast(self):
         cols = columns([S(1, 0, 1, 0), S(2, 1, 0, 0), S(3, 0, 1, 0)])
@@ -65,72 +74,53 @@ class TestTrace:
                                          "balanced": True}
 
 
-class TestIndexedQueue:
-    def test_order_across_buckets(self):
-        q = _IndexedQueue()
-        q.add((("a",),))
-        q.add((("b",),))
-        q.add((("a",),))
-        assert q.find_earliest((("b",), ("a",))) == 0  # earliest overall
-
-    def test_lazy_deletion(self):
-        q = _IndexedQueue()
-        s0 = q.add((("k",),))
-        s1 = q.add((("k",),))
-        q.remove(s0)
-        assert q.find_earliest((("k",),)) == s1
-        assert len(q) == 1
-
-    def test_multi_key_reachability(self):
-        q = _IndexedQueue()
-        s = q.add((("x",), ("y",)))
-        assert q.find_earliest((("y",),)) == s
-        q.remove(s)
-        assert q.find_earliest((("x",),)) is None
-
-
 class TestReplaySemantics:
     def test_expected_message(self):
-        states = replay(T([P(1, 1, 0, 7), S(2, 0, 1, 7)]))
-        assert states[1].expected_total == 1
-        assert states[1].unexpected_total == 0
-        assert len(states[1].prq) == 0
+        stats = replay(T([P(1, 1, 0, 7), S(2, 0, 1, 7)]))
+        assert stats["expected"][1] == 1
+        assert stats["unexpected"][1] == 0
+        assert stats["prq_left"][1] == 0
 
     def test_unexpected_then_matched(self):
-        states = replay(T([S(1, 0, 1, 7), P(2, 1, 0, 7)]))
-        assert states[1].unexpected_total == 1
-        assert len(states[1].umq) == 0  # consumed by the late post
+        stats = replay(T([S(1, 0, 1, 7), P(2, 1, 0, 7)]))
+        assert stats["unexpected"][1] == 1
+        assert stats["umq_left"][1] == 0  # consumed by the late post
 
     def test_pair_ordering(self):
         """Two same-tuple messages must match posts in arrival order."""
         tr = T([S(1, 0, 1, 7), S(2, 0, 1, 7), P(3, 1, 0, 7), P(4, 1, 0, 7)])
-        states = replay(tr)
-        assert len(states[1].umq) == 0 and len(states[1].prq) == 0
+        stats = replay(tr)
+        assert stats["umq_left"][1] == 0 and stats["prq_left"][1] == 0
 
     def test_wildcard_post_matches_earliest_arrival(self):
-        tr = T([S(1, 0, 2, 5), S(2, 1, 2, 5), P(3, 2, -1, 5)], n_ranks=3)
-        states = replay(tr)
+        rows = [S(1, 0, 2, 5), S(2, 1, 2, 5), P(3, 2, -1, 5)]
+        stats = replay(T(rows, n_ranks=3))
         # one message consumed (the earliest), one still unexpected
-        assert len(states[2].umq) == 1
-        assert states[2].umq.find_earliest(((1, 5, 0),)) is not None
+        assert stats["umq_left"][2] == 1
+        # the one left is rank 1's: a post from rank 1 takes it, one
+        # from rank 0 finds nothing
+        stats = replay(T(rows + [P(4, 2, 1, 5)], n_ranks=3))
+        assert stats["umq_left"][2] == 0
+        stats = replay(T(rows + [P(4, 2, 0, 5)], n_ranks=3))
+        assert stats["umq_left"][2] == 1 and stats["prq_left"][2] == 1
 
     def test_any_tag_post(self):
         tr = T([S(1, 0, 1, 42), P(2, 1, 0, -1)])
-        states = replay(tr)
-        assert len(states[1].umq) == 0
+        stats = replay(tr)
+        assert stats["umq_left"][1] == 0
 
     def test_comm_isolation(self):
         tr = T([S(1, 0, 1, 7, comm=1), P(2, 1, 0, 7, comm=0)])
-        states = replay(tr)
-        assert len(states[1].umq) == 1
-        assert len(states[1].prq) == 1
+        stats = replay(tr)
+        assert stats["umq_left"][1] == 1
+        assert stats["prq_left"][1] == 1
 
     def test_depth_observation(self):
         tr = T([S(1, 0, 1, 0), S(2, 0, 1, 1), S(3, 0, 1, 2),
                 P(4, 1, 0, 0), P(5, 1, 0, 1), P(6, 1, 0, 2)])
-        states = replay(tr)
-        assert states[1].umq_stats.max_depth == 3
-        assert states[1].umq_stats.attempts == 6
+        stats = replay(tr)
+        assert stats["umq_max"][1] == 3
+        assert stats["attempts"][1] == 6
 
     def test_figure2_summary_fields(self):
         tr = T([S(1, 0, 1, 0), P(2, 1, 0, 0)])

@@ -101,6 +101,13 @@ class TestFormatErrors:
         with pytest.raises(ValueError, match="line 1: field 'ranks'"):
             loads('{"k":"h","v":1,"app":"x","ranks":"2","meta":{}}')
 
+    def test_post_src_out_of_range(self):
+        h = '{"k":"h","v":1,"app":"x","ranks":4,"meta":{}}'
+        with pytest.raises(ValueError, match="post src 99 out of range"):
+            loads(h + '\n{"k":"p","t":1,"r":1,"s":99,"g":0}')
+        # ANY_SOURCE (-1) is the one source outside the rank range
+        assert len(loads(h + '\n{"k":"p","t":1,"r":1,"s":-1,"g":0}')) == 1
+
     def test_defaults_and_integer_times(self):
         h = '{"k":"h","v":1,"app":"x","ranks":2}'
         trace = loads(h + '\n{"k":"s","t":1,"r":0,"d":1,"g":3}'
