@@ -14,8 +14,8 @@ system:
   with graduated shedding (``retryable`` above a soft watermark,
   ``overloaded`` at capacity) instead of unbounded growth;
 * **workload profiling + autotuning** (:mod:`.profiler`,
-  :mod:`.autotuner`) -- Table I statistics computed live per tenant
-  drive promotions and demotions along the Table II lattice
+  :mod:`.autotuner`) -- windowed wildcard and tuple-dominance counts
+  per tenant drive promotions and demotions along the Table II lattice
   (matrix <-> partitioned <-> hash), with promotion hysteresis and every
   rebuild charged as a kernel relaunch;
 * **deterministic scheduling** (:mod:`.scheduler`) -- a seeded

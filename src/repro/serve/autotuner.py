@@ -40,7 +40,7 @@ from ..core.adaptive import RELAUNCH_OVERHEAD_CYCLES, relaunch_seconds
 from ..core.relaxations import RelaxationSet
 from ..simt.gpu import GPUSpec, PASCAL_GTX1080
 from .messages import TenantSpec
-from .profiler import WorkloadProfile
+from .profiler import DOMINANCE_LIMIT, WorkloadProfile
 
 __all__ = ["LATTICE", "RetuneEvent", "Autotuner", "lattice_rank"]
 
@@ -137,9 +137,9 @@ class Autotuner:
                         "the hash gate)")
             if self.spec.ordering_required:
                 return "wildcard-free window; ordering required by contract"
-            return (f"wildcard-free window; duplicate tuples "
-                    f"({profile.duplicate_tuple_fraction:.0%}) unfriendly "
-                    "to hashing")
+            return (f"wildcard-free window; dominant tuple carries "
+                    f"{profile.dominant_tuple_fraction:.0%} of messages "
+                    f"(hash needs < {DOMINANCE_LIMIT:.0%})")
         return "wildcard-free, unordered-tolerant, hash-friendly window"
 
     # -- decision -----------------------------------------------------------------

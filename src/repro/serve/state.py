@@ -75,8 +75,9 @@ SNAPSHOT_MAGIC = b"RSRVSNAP"
 #: Format version; bumped on any incompatible layout change.  A restore
 #: refuses a version it does not know instead of misreading it.
 #: Version 2: serve message types are tagged values, and per-worker
-#: state carries no result ledgers.
-SNAPSHOT_VERSION = 2
+#: state carries no result ledgers.  Version 3: a tenant's profiler
+#: window is five integers per flush.
+SNAPSHOT_VERSION = 3
 
 _T_NONE = 0x00
 _T_FALSE = 0x01

@@ -2,27 +2,25 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.adaptive import RELAUNCH_OVERHEAD_CYCLES
 from repro.core.envelope import ANY_SOURCE, EnvelopeBatch
 from repro.core.relaxations import RelaxationSet
-from repro.serve import (LATTICE, Autotuner, MatchingService, TenantSpec,
-                         WorkloadProfile, lattice_rank)
+from repro.core.result import MatchOutcome
+from repro.serve import (LATTICE, Autotuner, MatchingService, StreamProfiler,
+                         TenantSpec, WorkloadProfile, lattice_rank)
 
 MATRIX, PARTITIONED, HASH = LATTICE
 
 
 def profile(*, wildcard_fraction: float = 0.0,
-            duplicate_fraction: float = 0.0,
             dominant_fraction: float = 0.0) -> WorkloadProfile:
     """A synthetic windowed profile with the knobs the policy reads."""
     return WorkloadProfile(
-        window_flushes=4, n_messages=100, n_requests=100,
+        n_messages=100,
         src_wildcard_fraction=wildcard_fraction, tag_wildcard_fraction=0.0,
-        n_peers=8, n_comms=1,
-        duplicate_tuple_fraction=duplicate_fraction,
-        tag_entropy=0.9, umq_depth_mean=2.0, prq_depth_mean=2.0,
         dominant_tuple_fraction=dominant_fraction)
 
 
@@ -59,9 +57,15 @@ class TestTargets:
         """High aggregate duplication with no dominant tuple (df_AMG's
         shape: the same neighbour/tag pairs re-sent every sweep) keeps
         probe chains short and must stay hash-eligible."""
+        msgs = EnvelopeBatch(src=np.arange(100) % 10, tag=[0] * 100)
+        profiler = StreamProfiler()
+        profiler.ingest(msgs, msgs, MatchOutcome(
+            request_to_message=np.arange(100), n_messages=100,
+            n_requests=100))
+        p = profiler.profile()
+        assert p.dominant_tuple_fraction == pytest.approx(0.09)
         tuner = Autotuner(TenantSpec(name="t", ordering_required=False))
-        assert tuner.target_rank(profile(duplicate_fraction=0.9,
-                                         dominant_fraction=0.05)) == 2
+        assert tuner.target_rank(p) == 2
 
 
 class TestWalk:
@@ -99,6 +103,19 @@ class TestWalk:
         new = tuner.consider(HASH, profile(wildcard_fraction=0.5), 1.0)
         assert new == MATRIX
         assert tuner.events[-1].direction == "demote"
+
+    def test_reason_cites_the_dominance_gate(self):
+        """An unordered tenant held off the hash point is explained by
+        the statistic the gate reads: the dominant-tuple fraction
+        against its threshold."""
+        tuner = Autotuner(TenantSpec(name="t", ordering_required=False))
+        assert tuner.consider(HASH, profile(dominant_fraction=0.3),
+                              1.0) == PARTITIONED
+        (event,) = tuner.events
+        assert event.direction == "demote"
+        assert "dominant" in event.reason
+        assert "30%" in event.reason and "25%" in event.reason
+        assert "duplicate" not in event.reason
 
     def test_every_transition_charges_one_relaunch(self):
         tuner = Autotuner(TenantSpec(name="t", ordering_required=False),
@@ -188,6 +205,34 @@ class TestEndToEnd:
         svc = self._drive(TenantSpec(name="uno", ordering_required=False),
                           msgs, msgs.take([3, 2, 1, 0]))
         assert svc.tenant("uno").relaxations.label() == "nowc+noord+unexp"
+
+    def test_wildcard_burst_ages_out_of_the_window(self):
+        """One wildcard flush demotes at once and holds the matrix point
+        while it is in the window; the promotion returns at the flush
+        where the burst has left the window and ``promote_after`` clean
+        windows have followed."""
+        window, promote_after, burst = 2, 2, 2
+        msgs = EnvelopeBatch(src=[0, 1, 2, 3], tag=[1, 2, 3, 4])
+        clean = msgs.take([3, 2, 1, 0])
+        wild = EnvelopeBatch(src=[ANY_SOURCE, 1, 2, 3], tag=[1, 2, 3, 4])
+        svc = MatchingService(n_shards=1, seed=3, promote_after=promote_after,
+                              profile_window=window)
+        svc.register(TenantSpec(name="ord"))
+        for i in range(10):
+            svc.submit("ord", msgs, wild if i == burst else clean,
+                       at_vt=float(i) * 0.01)
+            svc.drain()
+        back = burst + window + promote_after - 1
+        # the burst flush itself runs demoted (the engine's own
+        # graceful demotion), so flushes 0..back all run on the matrix
+        assert [r.engine_label for r in svc.results] == (
+            ["wc+ord+unexp"] * (back + 1)
+            + ["nowc+ord+unexp"] * (9 - back))
+        moves = [(e.vt, e.direction) for e in svc.retune_events]
+        assert moves == [(pytest.approx(0.01 * (promote_after - 1)),
+                          "promote"),
+                         (pytest.approx(0.01 * burst), "demote"),
+                         (pytest.approx(0.01 * back), "promote")]
 
     def test_retune_cost_charged_exactly_once(self):
         """The flush after a promotion carries the relaunch cycles; later
