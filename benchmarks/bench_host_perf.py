@@ -1,16 +1,14 @@
-"""Host throughput gate: how fast the *simulator itself* matches.
+"""Host throughput: how fast the *simulator itself* matches.
 
 Not a paper figure.  Every other bench reports modeled GPU rates; this
 one times the host-side fast paths (array-native reduce, blockwise scan,
-vectorized hash rounds) and appends a labeled entry to
-``BENCH_host_perf.json`` at the repository root so perf regressions are
-visible PR-over-PR.
+vectorized hash rounds) and prints the table.  It writes no report file:
+``BENCH_host_perf.json`` at the repository root is frozen history.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/bench_host_perf.py [--quick]
-        [--label LABEL] [--no-json] [--sizes N [N ...]]
-        [--trace-out trace.json]
+        [--sizes N [N ...]] [--trace-out trace.json] [--sanitize]
 
 ``--quick`` drops the 64k deep-queue point for CI smoke runs.
 ``--trace-out`` attaches the observability layer (``repro.obs``) to the
@@ -27,8 +25,7 @@ import argparse
 
 from repro.bench import Table, format_rate, write_result
 from repro.bench.regression import (DEFAULT_SIZES, QUICK_SIZES,
-                                    HostPerfRecord, append_entry,
-                                    default_report_path, run_suite)
+                                    HostPerfRecord, run_suite)
 
 
 def host_perf_table(records: list[HostPerfRecord],
@@ -44,8 +41,7 @@ def host_perf_table(records: list[HostPerfRecord],
 
 
 def test_report_host_perf():
-    """Smoke entry for ``pytest benchmarks/``: shallow queue only, and no
-    report-file write so the committed BENCH_host_perf.json stays put."""
+    """Smoke entry for ``pytest benchmarks/``: shallow queue only."""
     records = run_suite(sizes=(1_000,), repeats=1)
     table = host_perf_table(records,
                             title="Host-side simulator throughput (smoke)")
@@ -85,10 +81,6 @@ def main(argv: list[str] | None = None) -> None:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--quick", action="store_true",
                     help="shallow queues only (CI smoke)")
-    ap.add_argument("--label", default="dev",
-                    help="entry label in BENCH_host_perf.json")
-    ap.add_argument("--no-json", action="store_true",
-                    help="print the table without touching the report file")
     ap.add_argument("--sizes", type=int, nargs="+", default=None,
                     help="queue depths to sweep (overrides --quick)")
     ap.add_argument("--trace-out", default=None, metavar="PATH",
@@ -119,9 +111,6 @@ def main(argv: list[str] | None = None) -> None:
         path = obs.tracer.write_chrome(args.trace_out)
         print(f"wrote Perfetto trace to {path}")
         print(summary(obs))
-    if not args.no_json:
-        append_entry(records, label=args.label)
-        print(f"appended entry {args.label!r} to {default_report_path()}")
     if args.sanitize:
         report = run_sanitized_sweep()
         print(report.summary())

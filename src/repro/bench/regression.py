@@ -7,10 +7,10 @@ perf trajectory instead of anecdotes (the Caliper/Benchpark lesson from
 PAPERS.md).
 
 ``run_suite`` sweeps the matrix, partitioned, and hash matchers over the
-paper-scale queue depths and ``append_entry`` records the results in
-``BENCH_host_perf.json`` at the repository root.  Each entry is labeled
-(e.g. ``"baseline"``, ``"post-PR1"``), so successive PRs can append and
-compare: ``speedup`` computes the ratio between two labeled entries.
+paper-scale queue depths; ``benchmarks/bench_host_perf.py`` and
+``python -m repro bench host`` print the results as a table.  Nothing is
+written to a report file: ``BENCH_host_perf.json`` at the repository
+root is frozen history of earlier sweeps.
 
 Methodology: best-of-``repeats`` wall time of ``matcher.match()`` on the
 paper's fully-matchable random workload (:func:`matching_workload`), rate
@@ -20,11 +20,8 @@ region; each repeat uses a fresh matcher so no cached state leaks in.
 
 from __future__ import annotations
 
-import json
-import platform
 import time
-from dataclasses import asdict, dataclass
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from ..core.hash_matching import HashMatcher
@@ -37,13 +34,7 @@ __all__ = [
     "QUICK_SIZES",
     "MATCHER_FACTORIES",
     "HostPerfRecord",
-    "append_entry",
-    "default_report_path",
-    "entry_rates",
-    "load_report",
-    "regression_failures",
     "run_suite",
-    "speedup",
     "time_match",
 ]
 
@@ -55,7 +46,7 @@ DEFAULT_SIZES = (1_000, 8_000, 64_000)
 #: Depths for CI smoke runs.
 QUICK_SIZES = (1_000, 8_000)
 
-#: Matchers under the regression gate.  Fresh instance per repeat; each
+#: Matchers the sweep times.  Fresh instance per repeat; each
 #: factory optionally takes an observability handle (``--trace-out``).
 MATCHER_FACTORIES: dict[str, Callable[..., object]] = {
     "matrix": lambda obs=None: MatrixMatcher(obs=obs),
@@ -121,84 +112,3 @@ def run_suite(sizes: Sequence[int] = DEFAULT_SIZES,
                 progress(rec)
     return records
 
-
-# -- report file ----------------------------------------------------------------
-
-
-def default_report_path() -> Path:
-    """``BENCH_host_perf.json`` at the repository root."""
-    return Path(__file__).resolve().parents[3] / "BENCH_host_perf.json"
-
-
-def load_report(path: Path | None = None) -> dict:
-    """Read the report (``{"entries": []}`` when absent)."""
-    path = default_report_path() if path is None else Path(path)
-    if not path.exists():
-        return {"entries": []}
-    with open(path) as f:
-        report = json.load(f)
-    if "entries" not in report:
-        raise ValueError(f"{path} is not a host-perf report")
-    return report
-
-
-def append_entry(records: Sequence[HostPerfRecord], label: str,
-                 path: Path | None = None) -> dict:
-    """Append one labeled entry to the report and rewrite it."""
-    path = default_report_path() if path is None else Path(path)
-    report = load_report(path)
-    report["entries"].append({
-        "label": label,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-        "python": platform.python_version(),
-        "records": [asdict(r) for r in records],
-    })
-    with open(path, "w") as f:
-        json.dump(report, f, indent=2)
-        f.write("\n")
-    return report
-
-
-def entry_rates(entry: dict) -> dict[tuple[str, int], float]:
-    """``{(matcher, n): matches_per_second}`` for one report entry."""
-    return {(r["matcher"], r["n"]): r["matches_per_second"]
-            for r in entry["records"]}
-
-
-def _entry(report: dict, label: str) -> dict:
-    for entry in reversed(report["entries"]):
-        if entry["label"] == label:
-            return entry
-    raise KeyError(f"no entry labeled {label!r}")
-
-
-def speedup(report: dict, matcher: str, n: int, base_label: str,
-            new_label: str) -> float:
-    """Host-throughput ratio of two labeled entries at one sweep point."""
-    base = entry_rates(_entry(report, base_label))[(matcher, n)]
-    new = entry_rates(_entry(report, new_label))[(matcher, n)]
-    return new / base
-
-
-def regression_failures(report: dict, base_label: str, new_label: str,
-                        min_ratio: float = 0.6,
-                        ) -> list[tuple[str, int, float]]:
-    """Sweep points where ``new`` regressed below ``min_ratio`` x base.
-
-    Compares every (matcher, n) present in both labeled entries and
-    returns the failing ``(matcher, n, ratio)`` triples, sorted worst
-    first.  The 0.6 default tolerates host-timing noise while flagging
-    anything close to a 2x slowdown; an unchanged run passes with an
-    empty list.
-    """
-    if not 0 < min_ratio <= 1.0:
-        raise ValueError("min_ratio must be in (0, 1]")
-    base = entry_rates(_entry(report, base_label))
-    new = entry_rates(_entry(report, new_label))
-    failures = []
-    for key in sorted(base.keys() & new.keys()):
-        ratio = new[key] / base[key]
-        if ratio < min_ratio:
-            failures.append((key[0], key[1], ratio))
-    failures.sort(key=lambda f: f[2])
-    return failures

@@ -169,6 +169,9 @@ class EnvelopeBatch:
             raise ValueError("fields below the wildcard value are invalid")
         if (self.comm < 0).any():
             raise ValueError("communicators cannot be negative or wildcarded")
+        if ((self.src > MAX_SRC).any() or (self.tag > MAX_TAG).any()
+                or (self.comm > MAX_COMM).any()):
+            raise ValueError("fields exceed the packed header's widths")
 
     # -- construction ---------------------------------------------------------
 
@@ -278,7 +281,10 @@ class EnvelopeBatch:
         Packs into int64; values with the comm high bit set would not fit,
         but communicator ids are validated to 16 bits so the result always
         fits in the signed range for comm < 2**15.  We keep comm values
-        small in practice; overflow is checked.
+        small in practice; overflow is checked.  So are ``src`` and
+        ``tag`` against their field widths: a :meth:`view`-built batch
+        skips ``__init__``'s checks, and a tag of ``2**16`` would spill
+        into the source field and alias another tuple's key.
 
         The result is cached on the batch and propagated through views
         (:meth:`view`, :meth:`take`, slicing, :meth:`concatenate`), so a
@@ -288,6 +294,8 @@ class EnvelopeBatch:
             self.assert_concrete("packed() input")
             if (self.comm >= 2**15).any():
                 raise ValueError("comm too large for signed 64-bit packing")
+            if (self.src > MAX_SRC).any() or (self.tag > MAX_TAG).any():
+                raise ValueError("src or tag too wide for its packed field")
             self._packed = (self.comm << 48) | (self.src << 16) | self.tag
         return self._packed
 

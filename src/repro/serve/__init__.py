@@ -27,7 +27,8 @@ system:
   ``python -m repro serve-demo``;
 * **stateful sessions** (:mod:`.state`) -- persistent-UMQ carry-over
   for ``session`` tenants and a versioned CRC-guarded snapshot codec
-  with bit-identical checkpoint/restore;
+  behind the worker checkpoints that cluster recovery and migration
+  restore bit-identically;
 * **one serving plane** (:mod:`.service`, :mod:`.wire`,
   :mod:`.cluster`) -- a router over shard workers: the in-process
   service calls loopback workers directly, the cluster runs each worker
@@ -69,8 +70,7 @@ from .scheduler import EventLoop, TimerEvent, VirtualClock
 from .service import MatchingService, stable_shard
 from .shard import Shard, TenantState
 from .stages import SERVE_STAGES, StageClock
-from .state import (SessionState, SnapshotError, restore_service,
-                    snapshot_service)
+from .state import SessionState, SnapshotError
 from .wire import (FRAME_KINDS, WIRE_MAGIC, WIRE_VERSION, WireError,
                    decode_frame, encode_frame)
 
@@ -87,7 +87,7 @@ __all__ = [
     "tenant_stream_from_trace", "workload_from_app", "merge_workloads",
     "DEFAULT_BENCH_APPS", "BENCHPARK_BENCH_APPS", "run_workload", "demo",
     "SERVE_STAGES", "StageClock",
-    "SessionState", "SnapshotError", "snapshot_service", "restore_service",
+    "SessionState", "SnapshotError",
     "stable_shard",
     "WIRE_MAGIC", "WIRE_VERSION", "FRAME_KINDS", "WireError",
     "encode_frame", "decode_frame",

@@ -56,7 +56,6 @@ from ..core.envelope import ANY_SOURCE, EnvelopeBatch
 from ..core.result import NO_MATCH
 from ..mpi.communicator import check_app_tag
 from ..mpi.datatypes import clone_payload, payload_nbytes
-from .stages import StageClock
 
 __all__ = ["FabricError", "FabricLink", "FabricFlush", "Fabric",
            "BridgeRequest", "CollectiveBridge",
@@ -153,16 +152,11 @@ class Fabric:
         :class:`~repro.serve.service.Router` with ``fabric_deliver``).
     link:
         Wire-time model; default :class:`FabricLink`.
-    stages:
-        Optional :class:`~repro.serve.stages.StageClock`; flush-building
-        work is charged to the ``fabric`` stage (measurement-only).
     """
 
-    def __init__(self, plane, link: FabricLink | None = None,
-                 stages: StageClock | None = None) -> None:
+    def __init__(self, plane, link: FabricLink | None = None) -> None:
         self.plane = plane
         self.link = link if link is not None else FabricLink()
-        self.stages = stages
         #: pending sends, keyed by source tenant, send order per key
         self._outbox: dict[str, list[_Send]] = {}
         #: pending receive posts, keyed by destination tenant, post order
@@ -218,8 +212,6 @@ class Fabric:
         in first-send order, envelopes within a tenant in send order.
         """
         plane = self.plane
-        stages = self.stages
-        t0 = StageClock.start() if stages is not None else 0.0
         now = float(plane.now)
         manifest: dict[str, _TenantStep] = {}
 
@@ -311,8 +303,6 @@ class Fabric:
         self.pair_batches_total += n_pair_batches
         self.fabric_messages_total += n_messages
         self.wire_seconds_total += max_wire
-        if stages is not None:
-            stages.stop("fabric", t0)
         return FabricFlush(manifest=manifest, start_vt=now,
                            end_vt=now + max_wire,
                            pair_batches=n_pair_batches, messages=n_messages)
@@ -383,18 +373,17 @@ class CollectiveBridge:
         The spanning tenant's base name.
     comm_id:
         Matching-tuple communicator value carried by every envelope.
-    link, stages:
+    link:
         Forwarded to the :class:`Fabric`.
     """
 
     def __init__(self, plane, tenant: str, comm_id: int = 0,
-                 link: FabricLink | None = None,
-                 stages: StageClock | None = None) -> None:
+                 link: FabricLink | None = None) -> None:
         self.plane = plane
         self.tenant = tenant
         self.comm_id = comm_id
         self.subs = list(plane.sub_tenants(tenant))
-        self.fabric = Fabric(plane, link=link, stages=stages)
+        self.fabric = Fabric(plane, link=link)
         self._results_seen = len(plane.results)
         # partitioned-channel plane (driver-side, like payload tokens)
         self._next_channel = 1

@@ -189,21 +189,19 @@ def run_workload(workload: ServeWorkload, *, n_shards: int = 1,
                  admission: AdmissionPolicy | None = None,
                  batching: BatchPolicy | None = None, seed: int = 0,
                  promote_after: int = 3, profile_window: int = 8,
-                 verify: bool = False, obs=None, stages=None,
+                 verify: bool = False, obs=None,
                  ) -> tuple[MatchingService, float]:
     """Drive a service through a workload; returns (service, wall seconds).
 
     Wall time covers the submission loop plus the final drain -- the
     sustained host-side serving rate -- and is measurement-only: no
-    decision inside the service reads it.  An optional
-    :class:`~repro.serve.stages.StageClock` additionally splits that
-    wall time across the pipeline stages.
+    decision inside the service reads it.
     """
     service = MatchingService(n_shards=n_shards, admission=admission,
                               batching=batching, seed=seed,
                               promote_after=promote_after,
                               profile_window=profile_window,
-                              verify=verify, obs=obs, stages=stages)
+                              verify=verify, obs=obs)
     for spec in workload.tenants:
         service.register(spec)
     return service, _drive(service, workload)

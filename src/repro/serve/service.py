@@ -77,7 +77,8 @@ class ShardWorker:
         Seeds the event loop's RNG (policy randomness only; ordering is
         never random).
     stages:
-        Optional :class:`~repro.serve.stages.StageClock`.
+        Optional :class:`~repro.serve.stages.StageClock`; a cluster
+        worker process passes one, a loopback worker none.
     **shard_kw:
         The :class:`~repro.serve.shard.Shard` policies and handles
         (``gpu``, ``admission``, ``batching``, ``promote_after``,
@@ -445,9 +446,6 @@ class MatchingService(Router):
     obs:
         Optional :class:`~repro.obs.Observability` handle threaded to
         every shard and engine.
-    stages:
-        Optional :class:`~repro.serve.stages.StageClock` threaded to
-        every shard: per-stage wall-time breakdown, measurement-only.
 
     Examples
     --------
@@ -469,12 +467,12 @@ class MatchingService(Router):
                  batching: BatchPolicy | None = None,
                  seed: int = 0, promote_after: int = 3,
                  profile_window: int = 8, verify: bool = False,
-                 obs=None, stages: StageClock | None = None) -> None:
+                 obs=None) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         batching = batching if batching is not None else BatchPolicy()
         super().__init__(
-            [ShardWorker(i, seed=seed, stages=stages, gpu=gpu,
+            [ShardWorker(i, seed=seed, gpu=gpu,
                          admission=admission, batching=batching,
                          promote_after=promote_after,
                          profile_window=profile_window, verify=verify,

@@ -92,8 +92,9 @@ class Shard:
     obs:
         Optional observability handle.
     stages:
-        Optional :class:`~repro.serve.stages.StageClock`
-        (measurement-only wall-time breakdown; never read by decisions).
+        Optional :class:`~repro.serve.stages.StageClock`, given only to
+        a cluster worker's shard: ``flush_tenant`` charges its ``match``
+        and ``result`` work (measurement-only; never read by decisions).
     """
 
     def __init__(self, shard_id: int, gpu: GPUSpec = PASCAL_GTX1080,
@@ -192,14 +193,10 @@ class Shard:
                            seq=request.seq, retry_after_vt=cutover,
                            reason="tenant migrating; retry at cutover"),
                     None)
-        stages = self._stages
-        t0 = StageClock.start() if stages is not None else 0.0
         status, retry_after, reason = self.admission.decide(
             request.n_envelopes, self.inbox_depth,
             now_vt=now_vt, next_flush_vt=self.next_deadline_vt())
         if status != ACCEPTED:
-            if stages is not None:
-                stages.stop("admission", t0)
             if obs is not None:
                 obs.count(f"serve.shed.{status}")
                 obs.instant("serve.shed", tenant=request.tenant,
@@ -210,12 +207,7 @@ class Shard:
                                            if retry_after is not None
                                            else None),
                            reason=reason), None)
-        if stages is not None:
-            stages.stop("admission", t0)
-            t0 = StageClock.start()
         ts.accumulator.admit(request)
-        if stages is not None:
-            stages.stop("batching", t0)
         ts.requests_total += 1
         if obs is not None:
             obs.count("serve.accepted")
@@ -237,11 +229,7 @@ class Shard:
         superstep's rows across two results.
         """
         ts = self.tenants[request.tenant]
-        stages = self._stages
-        t0 = StageClock.start() if stages is not None else 0.0
         ts.accumulator.admit(request)
-        if stages is not None:
-            stages.stop("fabric", t0)
         ts.requests_total += 1
         if self._obs is not None:
             self._obs.count("serve.fabric.delivered")
@@ -251,11 +239,7 @@ class Shard:
     def flush_tenant(self, tenant: str, now_vt: float) -> FlushResult | None:
         """Drain one tenant's accumulator through its engine."""
         ts = self.tenants[tenant]
-        stages = self._stages
-        t0 = StageClock.start() if stages is not None else 0.0
         messages, requests, covered = ts.accumulator.flush()
-        if stages is not None:
-            stages.stop("batching", t0)
         if not covered:
             return None
         self.flushes_done += 1
@@ -275,6 +259,7 @@ class Shard:
         obs = self._obs
         trace_start = (obs.tracer.now
                        if obs is not None and obs.tracer is not None else 0.0)
+        stages = self._stages
         t0 = StageClock.start() if stages is not None else 0.0
         outcome = ts.engine.submit_batch(messages, requests)
         if stages is not None:

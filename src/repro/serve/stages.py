@@ -1,28 +1,21 @@
-"""Per-stage wall-clock accounting for the serve pipeline.
+"""Per-stage wall-clock accounting at the cluster's process boundary.
 
-The serve bench's headline number -- sustained host matches/s -- says
-*that* the pipeline is fast or slow, not *where* the time goes.  A
-:class:`StageClock` splits a serve run's wall time across the pipeline's
-stages so overhead is measured, not inferred:
+The performance ledger (``benchmarks/ledger/``) times every in-process
+serve layer from outside, by wrapping its public methods; it cannot wrap
+code inside a cluster worker process, so that is the one place the
+program keeps its own clock.  A :class:`StageClock` has three stages:
 
-* ``loadgen``   -- building the workload's column stream from a trace;
-* ``transport`` -- wire-frame encode/decode and queue hand-off between
-  the cluster router and its worker processes (zero for in-process
-  runs, where no process boundary exists);
-* ``admission`` -- admission decisions and ticket construction;
-* ``fabric``    -- cross-shard combining: outbox drains, per-pair block
-  packing, and fabric deliveries into destination accumulators;
-* ``batching``  -- accumulator admits and flush concatenation;
-* ``match``     -- the tenant engines' matching passes;
-* ``result``    -- flush-result assembly, profiling, and autotuning.
+* ``transport`` -- the cluster router's wire-frame encode/decode and
+  queue hand-off (work done, never time spent *waiting* on workers);
+* ``match``     -- a worker's tenant engines' matching passes;
+* ``result``    -- a worker's flush-result assembly, profiling, and
+  autotuning.
 
-In multi-process mode the worker-side stages are merged into the
-router's clock at stats collection, so the per-stage totals are summed
-CPU-seconds across processes -- they can legitimately exceed the run's
-wall time when workers overlap.  ``transport`` charges only the encode,
-enqueue, and decode work the router actually performs, never the time
-spent *waiting* on workers, so the "match %" column in the serve bench
-stays a share of work done rather than of wall idle.
+Worker clocks are merged into the router's at stats collection
+(:meth:`~repro.serve.cluster.ClusterService.merged_stage_seconds`), so
+the totals are summed CPU-seconds across processes -- they can exceed
+the run's wall time when workers overlap.  An in-process
+:class:`~repro.serve.service.MatchingService` takes no clock.
 
 Timing is **measurement-only**: the clock reads ``time.perf_counter``
 but nothing in the serve layer ever branches on it, so attaching a clock
@@ -37,13 +30,12 @@ import time
 
 __all__ = ["SERVE_STAGES", "StageClock"]
 
-#: The serve pipeline's stages, pipeline order.
-SERVE_STAGES = ("loadgen", "transport", "admission", "fabric", "batching",
-                "match", "result")
+#: The timed stages: the router's transport, then the worker pipeline.
+SERVE_STAGES = ("transport", "match", "result")
 
 
 class StageClock:
-    """Accumulated wall seconds per serve pipeline stage.
+    """Accumulated wall seconds per boundary stage.
 
     Instrumentation sites bracket their stage explicitly::
 
@@ -56,11 +48,10 @@ class StageClock:
     accepted, behind a single ``is not None`` branch per site.
     """
 
-    __slots__ = ("seconds", "counts")
+    __slots__ = ("seconds",)
 
     def __init__(self) -> None:
         self.seconds: dict[str, float] = {s: 0.0 for s in SERVE_STAGES}
-        self.counts: dict[str, int] = {s: 0 for s in SERVE_STAGES}
 
     @staticmethod
     def start() -> float:
@@ -70,12 +61,6 @@ class StageClock:
     def stop(self, stage: str, t0: float) -> None:
         """Charge the elapsed time since ``t0`` to ``stage``."""
         self.seconds[stage] += time.perf_counter() - t0
-        self.counts[stage] += 1
-
-    def add(self, stage: str, seconds: float) -> None:
-        """Charge an externally measured duration to ``stage``."""
-        self.seconds[stage] += seconds
-        self.counts[stage] += 1
 
     def snapshot(self) -> dict[str, float]:
         """``{stage: seconds}``, pipeline order, JSON-friendly."""

@@ -23,20 +23,18 @@ the data plane already uses:
   encoding would corrupt.  No pickle anywhere -- a snapshot is data,
   never code.
 
-* **Snapshot builders** (:func:`worker_state` /
-  :func:`install_worker`, :func:`export_tenant` /
-  :func:`install_tenant`, :func:`snapshot_service` /
-  :func:`restore_service`) -- a deterministic deep capture of everything
-  a bit-identical continuation needs: every tenant engine's lattice
-  position and demotion log, accumulator contents and epoch counters,
-  profiler windows, autotuner hysteresis, session carry-over, and each
-  worker's event loop ``(vt, seq)`` cursor and RNG state.  Worker
-  checkpoints and migration blobs carry no result or ticket ledgers:
-  those live only in the router, and only a whole in-process
-  :func:`snapshot_service` writes them.  Restoring a snapshot taken at
-  flush *k* and replaying the remaining stream produces outcomes
-  identical to the uninterrupted run (pinned by
-  ``tests/serve/test_state.py``).
+* **Worker checkpoints** (:func:`worker_state` /
+  :func:`install_worker`, and per tenant :func:`export_tenant` /
+  :func:`install_tenant`) -- the one checkpoint path, used by cluster
+  recovery and live migration: a deterministic deep capture of
+  everything a bit-identical continuation needs: every tenant engine's
+  lattice position and demotion log, accumulator contents and epoch
+  counters, profiler windows, autotuner hysteresis, session carry-over,
+  and the worker's event loop ``(vt, seq)`` cursor and RNG state.
+  Checkpoints and migration blobs carry no result or ticket ledgers:
+  those live only in the router.  A worker restored from a checkpoint
+  taken at flush *k* continues identically to the uninterrupted worker
+  (pinned by ``tests/serve/test_state.py::TestSnapshotRestore``).
 """
 
 from __future__ import annotations
@@ -51,7 +49,6 @@ from ..core.engine import MatchingEngine
 from ..core.envelope import EnvelopeBatch
 from ..core.relaxations import RelaxationSet
 from ..core.result import MatchOutcome
-from ..simt.gpu import GPUSpec, PASCAL_GTX1080
 from .admission import AdmissionPolicy
 from .autotuner import Autotuner
 from .batching import BatchAccumulator, BatchPolicy, concat_batches
@@ -61,8 +58,7 @@ from .profiler import StreamProfiler
 __all__ = ["SnapshotError", "SNAPSHOT_MAGIC", "SNAPSHOT_VERSION",
            "dumps", "loads", "SessionState", "policies_state",
            "policies_from", "export_tenant", "install_tenant",
-           "worker_state", "install_worker",
-           "snapshot_service", "restore_service"]
+           "worker_state", "install_worker"]
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +236,27 @@ def _dec(data: bytes, pos: int) -> tuple[object, int]:
     raise SnapshotError(f"unknown snapshot type tag 0x{tag:02x}")
 
 
+#: What :func:`_dec` raises, past the framing checks, on a payload whose
+#: bytes are well formed but whose values are not: a bad or object dtype,
+#: a shape that disagrees with the byte count, invalid UTF-8, a typed
+#: value of the wrong arity, an unhashable dict key.
+_MALFORMED = (TypeError, ValueError, KeyError, IndexError, AttributeError)
+
+
+def _dec_all(payload: bytes) -> object:
+    """Decode one whole payload; any malformation is a
+    :class:`SnapshotError` with the cause chained."""
+    try:
+        obj, pos = _dec(payload, 0)
+    except SnapshotError:
+        raise
+    except _MALFORMED as exc:
+        raise SnapshotError(f"malformed snapshot payload: {exc!r}") from exc
+    if pos != len(payload):
+        raise SnapshotError("trailing bytes after snapshot payload")
+    return obj
+
+
 def dumps(obj) -> bytes:
     """Encode an object tree into the versioned, CRC-guarded wire form."""
     payload = bytearray()
@@ -253,7 +270,8 @@ def dumps(obj) -> bytes:
 
 def loads(data: bytes) -> object:
     """Decode :func:`dumps` output, verifying magic, version, length, and
-    CRC before touching the payload."""
+    CRC before touching the payload; a payload that passes those checks
+    but does not decode is a :class:`SnapshotError` too."""
     head = len(SNAPSHOT_MAGIC) + 10
     if len(data) < head + 4:
         raise SnapshotError("snapshot shorter than its header")
@@ -269,10 +287,7 @@ def loads(data: bytes) -> object:
     (crc,) = struct.unpack_from("<I", data, head + length)
     if zlib.crc32(payload) != crc:
         raise SnapshotError("snapshot CRC mismatch (corrupt payload)")
-    obj, pos = _dec(payload, 0)
-    if pos != length:
-        raise SnapshotError("trailing bytes after snapshot payload")
-    return obj
+    return _dec_all(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +523,7 @@ _TYPES = (
 
 
 # ---------------------------------------------------------------------------
-# Tenant / worker / service snapshot builders
+# Tenant / worker checkpoints
 # ---------------------------------------------------------------------------
 
 def policies_state(admission: AdmissionPolicy, batching: BatchPolicy,
@@ -605,52 +620,3 @@ def install_worker(worker, state: dict) -> None:
     for tstate in state["tenants"]:
         install_tenant(shard, tstate)
 
-
-def snapshot_service(svc) -> bytes:
-    """Snapshot a whole :class:`~repro.serve.service.MatchingService`:
-    every worker plus the router's clock, placement, sequence space and
-    result/ticket ledgers.
-
-    The returned bytes are the versioned, CRC-guarded binary form; feed
-    them to :func:`restore_service`.
-    """
-    shard = svc._workers[0].shard
-    return dumps({
-        "policies": policies_state(shard.admission.policy, shard.batching,
-                                   shard.promote_after,
-                                   shard.profile_window, shard.verify),
-        "now": svc.now,
-        "placement": svc._placement,
-        "spans": svc._spans,
-        "next_seq": svc._next_seq,
-        "workers": [worker_state(w) for w in svc._workers],
-        "results": svc.results,
-        "tickets": svc.tickets,
-    })
-
-
-def restore_service(data: bytes, gpu: GPUSpec = PASCAL_GTX1080,
-                    obs=None, stages=None):
-    """Rebuild a service from :func:`snapshot_service` bytes.
-
-    The restored service continues **bit-identically**: same virtual
-    clock, same pending timers, same RNG stream position, same engines,
-    accumulators, profiler windows, hysteresis streaks, session
-    carry-over, and ledgers.  Runtime-only handles (``gpu``, ``obs``,
-    ``stages``) are supplied fresh -- they are environment, not state.
-    """
-    from .service import MatchingService  # local: avoid import cycle
-
-    state = loads(data)
-    svc = MatchingService(n_shards=len(state["workers"]), gpu=gpu,
-                          obs=obs, stages=stages,
-                          **policies_from(state["policies"]))
-    for worker, wstate in zip(svc._workers, state["workers"]):
-        install_worker(worker, wstate)
-    svc._now = state["now"]
-    svc._placement = state["placement"]
-    svc._spans = state["spans"]
-    svc._next_seq = state["next_seq"]
-    svc.results = state["results"]
-    svc.tickets = state["tickets"]
-    return svc

@@ -34,7 +34,7 @@ from __future__ import annotations
 import struct
 import zlib
 
-from .state import SnapshotError, _dec, _enc
+from .state import SnapshotError, _dec_all, _enc
 
 __all__ = ["WIRE_MAGIC", "WIRE_VERSION", "FRAME_KINDS", "WireError",
            "encode_frame", "decode_frame"]
@@ -95,7 +95,8 @@ def encode_frame(kind: str, payload: object = None) -> bytes:
 
 def decode_frame(data: bytes) -> tuple[str, object]:
     """Decode :func:`encode_frame` output, verifying magic, version,
-    kind, length, and CRC before touching the payload."""
+    kind, length, and CRC before touching the payload; a payload that
+    passes those checks but does not decode is a :class:`WireError` too."""
     head = len(WIRE_MAGIC) + _HEADER.size
     if len(data) < head + 4:
         raise WireError("frame shorter than its header")
@@ -114,10 +115,8 @@ def decode_frame(data: bytes) -> tuple[str, object]:
     if kind_id >= len(FRAME_KINDS):
         raise WireError(f"unknown frame kind id {kind_id}")
     try:
-        payload, pos = _dec(body, 0)
+        payload = _dec_all(body)
     except SnapshotError as exc:
         raise WireError(f"corrupt frame payload: {exc}") from exc
-    if pos != length:
-        raise WireError("trailing bytes after frame payload")
     return FRAME_KINDS[kind_id], payload
 

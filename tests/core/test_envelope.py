@@ -101,6 +101,35 @@ class TestEnvelopeBatch:
         with pytest.raises(ValueError):
             EnvelopeBatch(src=[0], tag=[0], comm=[-1])
 
+    @pytest.mark.parametrize("field", ["src", "tag", "comm"])
+    def test_upper_bounds_rejected(self, field):
+        """The packed layout is ``comm:16 | src:32 | tag:16``: a value one
+        past its field's width would spill into the neighbouring field
+        and alias another tuple's key, so construction refuses it, as
+        :class:`Envelope` does."""
+        limit = {"src": MAX_SRC, "tag": MAX_TAG, "comm": MAX_COMM}[field]
+        cols = {"src": [0], "tag": [0], "comm": [0]}
+        cols[field] = [limit + 1]
+        with pytest.raises(ValueError):
+            EnvelopeBatch(**cols)
+
+    def test_max_values_accepted(self):
+        b = EnvelopeBatch(src=[MAX_SRC], tag=[MAX_TAG], comm=[MAX_COMM])
+        assert b[0] == Envelope(src=MAX_SRC, tag=MAX_TAG, comm=MAX_COMM)
+        packable = EnvelopeBatch(src=[MAX_SRC], tag=[MAX_TAG])
+        assert int(packable.packed()[0]) == pack64(MAX_SRC, MAX_TAG)
+
+    @pytest.mark.parametrize("src, tag", [(0, MAX_TAG + 1),
+                                          (MAX_SRC + 1, 0)])
+    def test_view_built_overflow_raises_from_packed(self, src, tag):
+        """``view`` skips ``__init__``'s checks, so ``packed()`` checks
+        the field widths itself before building the key column."""
+        b = EnvelopeBatch.view(np.array([src], dtype=np.int64),
+                               np.array([tag], dtype=np.int64),
+                               np.zeros(1, dtype=np.int64))
+        with pytest.raises(ValueError, match="too wide"):
+            b.packed()
+
     def test_wildcard_mask(self):
         b = EnvelopeBatch(src=[1, ANY_SOURCE, 2], tag=[ANY_TAG, 0, 0])
         assert b.has_wildcards

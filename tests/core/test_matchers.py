@@ -234,6 +234,25 @@ class TestHashMatcher:
         check_relaxed(msgs, reqs, out, require_complete=True)
         assert out.matched_count == n
 
+    @pytest.mark.parametrize("msg, req", [
+        ((0, 2**16, 0), (1, 0, 0)),    # the tag spills into src
+        ((2**32, 0, 0), (0, 0, 1)),    # the src spills into comm
+    ])
+    def test_out_of_range_fields_raise_instead_of_aliasing(self, msg, req):
+        """Each pair packs to the same 64-bit key, which the hash matcher
+        would pair although the tuples differ; neither a validated nor a
+        ``view``-built batch may reach the hash table."""
+        def view(src, tag, comm):
+            return EnvelopeBatch.view(
+                *(np.array([v], dtype=np.int64) for v in (src, tag, comm)))
+
+        with pytest.raises(ValueError):
+            HashMatcher().match(
+                EnvelopeBatch(src=[msg[0]], tag=[msg[1]], comm=[msg[2]]),
+                EnvelopeBatch(src=[req[0]], tag=[req[1]], comm=[req[2]]))
+        with pytest.raises(ValueError):
+            HashMatcher().match(view(*msg), view(*req))
+
     def test_heavy_duplicates_complete(self):
         msgs = EnvelopeBatch(src=[3] * 200, tag=[7] * 200)
         out = HashMatcher().match(msgs, msgs)

@@ -13,18 +13,30 @@ Two layers, one contract each:
   integrity guarantee: **every** single-bit corruption of a frame or a
   snapshot blob raises (CRC32 detects all 1-bit errors); corruption is
   never silent.
+
+A payload can also pass every framing check -- it was *written* wrong,
+not corrupted in flight -- and still not decode.  Both decoders turn
+that into their own error type (``SnapshotError`` / ``WireError``) with
+the cause chained, never a raw ``TypeError`` or ``ValueError``.
 """
 
 from __future__ import annotations
+
+import struct
+import zlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.serve import (FRAME_KINDS, SnapshotError, WireError,
-                         decode_frame, encode_frame)
-from repro.serve.state import dumps, loads
+from repro.serve import (FRAME_KINDS, WIRE_MAGIC, WIRE_VERSION,
+                         SnapshotError, Ticket, WireError, decode_frame,
+                         encode_frame)
+from repro.serve.state import (_T_DICT, _T_LIST, _T_NDARRAY, _T_NONE,
+                               _T_STR, _T_TUPLE, _T_TYPED, _TYPES,
+                               SNAPSHOT_MAGIC, SNAPSHOT_VERSION, dumps,
+                               loads)
 
 # ---------------------------------------------------------------------------
 # Strategies
@@ -175,3 +187,52 @@ class TestWireFuzz:
     def test_unknown_kind_rejected(self):
         with pytest.raises(WireError, match="kind"):
             encode_frame("no-such-frame", None)
+
+
+# ---------------------------------------------------------------------------
+# Malformed payloads that pass the CRC
+# ---------------------------------------------------------------------------
+
+def _ndarray(dtype: bytes, shape: tuple[int, ...], raw: bytes) -> bytes:
+    return (bytes([_T_NDARRAY]) + struct.pack("<I", len(dtype)) + dtype
+            + struct.pack("<I", len(shape))
+            + b"".join(struct.pack("<Q", dim) for dim in shape)
+            + struct.pack("<Q", len(raw)) + raw)
+
+
+_TICKET_TAG = _T_TYPED + [cls for cls, _, _ in _TYPES].index(Ticket)
+
+#: Payloads whose bytes are well framed but whose values cannot decode.
+MALFORMED = {
+    "bad-dtype": _ndarray(b"zz", (0,), b""),
+    "object-dtype": _ndarray(b"|O", (1,), bytes(8)),
+    "shape-disagrees-with-bytes": _ndarray(b"<i8", (3,), bytes(8)),
+    "ticket-arity": (bytes([_TICKET_TAG, _T_TUPLE]) + struct.pack("<I", 2)
+                     + bytes([_T_NONE, _T_NONE])),
+    "invalid-utf8": bytes([_T_STR]) + struct.pack("<I", 1) + b"\xff",
+    "list-as-dict-key": (bytes([_T_DICT]) + struct.pack("<I", 1)
+                         + bytes([_T_LIST]) + struct.pack("<I", 0)
+                         + bytes([_T_NONE])),
+}
+
+
+class TestMalformedPayloads:
+    @pytest.mark.parametrize("payload", MALFORMED.values(), ids=MALFORMED)
+    def test_snapshot_decoder_raises_snapshot_error(self, payload):
+        blob = (SNAPSHOT_MAGIC
+                + struct.pack("<HQ", SNAPSHOT_VERSION, len(payload))
+                + payload + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(SnapshotError) as info:
+            loads(blob)
+        assert info.value.__cause__ is not None
+
+    @pytest.mark.parametrize("payload", MALFORMED.values(), ids=MALFORMED)
+    def test_frame_decoder_raises_wire_error(self, payload):
+        kind_id = FRAME_KINDS.index("submit")
+        frame = (WIRE_MAGIC
+                 + struct.pack("<HBQ", WIRE_VERSION, kind_id, len(payload))
+                 + payload
+                 + struct.pack("<I", zlib.crc32(bytes([kind_id]) + payload)))
+        with pytest.raises(WireError) as info:
+            decode_frame(frame)
+        assert info.value.__cause__ is not None

@@ -1,5 +1,5 @@
 """Serve state plane: snapshot codec, columnar session carry-over,
-bit-identical checkpoint/restore, and vt-derived retry hints."""
+bit-identical worker checkpoint/restore, and vt-derived retry hints."""
 
 from __future__ import annotations
 
@@ -9,9 +9,10 @@ import pytest
 from repro.core.envelope import EnvelopeBatch
 from repro.serve import (AdmissionPolicy, BatchPolicy, MatchingService,
                          SessionState, SnapshotError, TenantSpec,
-                         restore_service, run_workload, snapshot_service,
-                         workload_from_app)
-from repro.serve.state import SNAPSHOT_MAGIC, dumps, loads
+                         merge_workloads, run_workload, workload_from_app)
+from repro.serve.service import ShardWorker
+from repro.serve.state import (SNAPSHOT_MAGIC, dumps, install_worker, loads,
+                               policies_from, policies_state)
 from tests.conftest import permuted_pair
 
 
@@ -186,7 +187,7 @@ class TestSessionState:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot / restore: bit-identical continuation
+# Worker checkpoint / restore: bit-identical continuation
 # ---------------------------------------------------------------------------
 
 def _fingerprint(svc) -> dict:
@@ -208,44 +209,90 @@ def _drive(svc, arrivals):
                    at_vt=arrival.vt)
 
 
+def _checkpoints(svc) -> list[bytes]:
+    """Every worker's ``checkpoint`` reply blob, worker order."""
+    return [w.handle("checkpoint")[0][1]["blob"] for w in svc._workers]
+
+
+def _restore_workers(svc) -> None:
+    """Swap every loopback worker for a fresh :class:`ShardWorker`
+    restored from its own checkpoint -- what cluster recovery does to a
+    dead worker process, minus the process."""
+    for i, blob in enumerate(_checkpoints(svc)):
+        shard = svc._workers[i].shard
+        policies = policies_from(policies_state(
+            shard.admission.policy, shard.batching, shard.promote_after,
+            shard.profile_window, shard.verify))
+        worker = ShardWorker(i, seed=5, **policies)
+        install_worker(worker, loads(blob))
+        svc._workers[i] = worker
+
+
 class TestSnapshotRestore:
+    """Worker checkpoints are the one checkpoint path: a worker restored
+    from its checkpoint at any cut continues exactly as the
+    uninterrupted worker does, deadline timers, session carry-over and
+    autotuner hysteresis included."""
+
+    CUTS = (1, 3, 6)
+    BATCHING = BatchPolicy(max_envelopes=32)
+
     @pytest.fixture(scope="class")
     def workload(self):
-        return workload_from_app("df_minife", rate_rps=4000.0, n_ranks=8,
-                                 steps=2, chunk_envelopes=64, seed=3,
-                                 session=True)
+        return merge_workloads("restore", [
+            workload_from_app("df_minife", rate_rps=4000.0,
+                              chunk_envelopes=16, seed=3, session=True),
+            workload_from_app("df_amg", rate_rps=4000.0,
+                              chunk_envelopes=16, seed=3,
+                              ordering_required=False)])
 
-    def _fresh(self, workload):
-        svc = MatchingService(n_shards=2, seed=5)
+    def _fresh(self, workload, cut: int):
+        svc = MatchingService(n_shards=2, seed=5, batching=self.BATCHING)
         for spec in workload.tenants:
             svc.register(spec)
+        _drive(svc, workload.arrivals[:cut])
         return svc
 
-    @pytest.mark.parametrize("cut", [1, 3, 6])
+    def test_cuts_catch_state_in_flight(self, workload):
+        """At least one cut lands with deadline timers armed, session
+        carry-over queued and an autotuner streak part-earned, so the
+        continuation checks below restore all three."""
+        def in_flight(svc):
+            tenants = [ts for w in svc._workers
+                       for ts in w.shard.tenants.values()]
+            return (any(w.loop._heap for w in svc._workers),
+                    any(len(ts.session.umq) for ts in tenants
+                        if ts.session is not None),
+                    any(ts.autotuner._streak for ts in tenants))
+
+        assert any(all(in_flight(self._fresh(workload, cut)))
+                   for cut in self.CUTS)
+
+    @pytest.mark.parametrize("cut", CUTS)
     def test_restore_continues_bit_identically(self, workload, cut):
-        """Snapshot at an arbitrary boundary, replay the remaining
-        stream on both the original and the restored service: every
-        outcome, ticket, latency, and counter must be identical."""
-        svc = self._fresh(workload)
-        _drive(svc, workload.arrivals[:cut])
-        blob = snapshot_service(svc)
-        twin = restore_service(blob)
-        assert twin.now == svc.now
+        """Checkpoint every worker at an arbitrary boundary, restore
+        fresh workers from the blobs, and replay the remaining stream on
+        both the original and the restored service: every outcome,
+        ticket, latency, and counter must be identical."""
+        svc = self._fresh(workload, cut)
+        twin = self._fresh(workload, cut)
+        _restore_workers(twin)
+        assert [w.loop.now for w in twin._workers] == \
+            [w.loop.now for w in svc._workers]
         for live in (svc, twin):
             _drive(live, workload.arrivals[cut:])
             live.drain()
         assert _fingerprint(twin) == _fingerprint(svc)
 
     def test_snapshot_of_restore_is_byte_identical(self, workload):
-        svc = self._fresh(workload)
-        _drive(svc, workload.arrivals[:4])
-        blob = snapshot_service(svc)
-        assert snapshot_service(restore_service(blob)) == blob
+        twin = self._fresh(workload, 4)
+        blobs = _checkpoints(twin)
+        _restore_workers(twin)
+        assert _checkpoints(twin) == blobs
 
     def test_snapshot_is_deterministic(self, workload):
-        svc = self._fresh(workload)
-        _drive(svc, workload.arrivals[:4])
-        assert snapshot_service(svc) == snapshot_service(svc)
+        svc = self._fresh(workload, 4)
+        assert _checkpoints(svc) == _checkpoints(svc)
 
 
 # ---------------------------------------------------------------------------
