@@ -110,9 +110,19 @@ def tenant_stream_from_trace(trace: Trace, rank: int, chunk_envelopes: int = 64,
     stream; the message side additionally carries its packed64 key
     column, computed here exactly once, so no layer between the loadgen
     and the matcher ever re-packs an envelope.
+
+    ``rank`` must lie in ``[0, trace.n_ranks)``, and on a rank-projected
+    trace (``busiest_only``, which names its rank in ``meta["rank"]``)
+    it must be that rank: the trace holds no other rank's rows.
     """
     if chunk_envelopes < 1:
         raise ValueError("chunk_envelopes must be >= 1")
+    if not 0 <= rank < trace.n_ranks:
+        raise ValueError(f"rank {rank} out of range for a "
+                         f"{trace.n_ranks}-rank trace")
+    if trace.meta.get("rank", rank) != rank:
+        raise ValueError(f"trace holds only rank {trace.meta['rank']}'s "
+                         f"rows, not rank {rank}'s")
     cols = trace.columns
     kind = cols["kind"]
     # messages addressed to the rank, or receives the rank posted
@@ -149,19 +159,23 @@ def workload_from_app(app: str, *, rate_rps: float = 2000.0,
                       partitioned: bool = False) -> ServeWorkload:
     """Build a one-tenant open-loop workload from a proxy-app trace.
 
+    The tenant is the trace's busiest rank (:func:`busiest_rank`); the
+    trace is generated projected onto that rank (``busiest_only``), so
+    the other ranks' rows are never built.
     ``rate_rps`` is the offered request rate in requests per *virtual*
-    second; arrivals are a seeded Poisson process (open-loop).
+    second, finite and positive; arrivals are a seeded Poisson process
+    (open-loop).
     ``session=True`` declares the tenant persistent-UMQ: unmatched
     envelopes carry over between flushes instead of being dropped.
     ``partitioned=True`` declares a match-once/fire-many stream, which
     pins the autotuner at the partitioned lattice point (the natural
     declaration for the Benchpark re-fire workloads).
     """
-    if rate_rps <= 0:
-        raise ValueError("rate_rps must be positive")
-    trace = generate_trace(app, n_ranks=n_ranks, steps=steps, seed=seed)
-    rank = busiest_rank(trace)
-    chunks = tenant_stream_from_trace(trace, rank,
+    if not (np.isfinite(rate_rps) and rate_rps > 0):
+        raise ValueError("rate_rps must be finite and positive")
+    trace = generate_trace(app, n_ranks=n_ranks, steps=steps, seed=seed,
+                           busiest_only=True)
+    chunks = tenant_stream_from_trace(trace, trace.meta["rank"],
                                       chunk_envelopes=chunk_envelopes)
     name = tenant_name if tenant_name is not None else app
     spec = TenantSpec(name=name, ordering_required=ordering_required,

@@ -18,9 +18,12 @@ import numpy as np
 
 from ..events import COLUMNS, KIND_BARRIER, KIND_POST, KIND_SEND, Trace
 
-__all__ = ["AppModel", "TraceBuilder", "gather_flood", "grid_dims",
-           "grid_neighbors", "pair_array", "ring_neighbors",
+__all__ = ["AppModel", "NO_OWNER", "TraceBuilder", "gather_flood",
+           "grid_dims", "grid_neighbors", "pair_array", "ring_neighbors",
            "random_neighbors", "skewed_neighbors"]
+
+#: ``TraceBuilder`` owner that keeps no row and sums per-rank load
+NO_OWNER = -1
 
 
 class TraceBuilder:
@@ -35,24 +38,56 @@ class TraceBuilder:
     :meth:`block` (n arbitrary rows at consecutive ticks) and
     :meth:`barrier` -- and are kept per column, already in the
     :data:`COLUMNS` dtypes, until :meth:`build` joins each column.
+
+    ``owner`` projects the trace onto one rank.  ``None`` keeps every
+    row.  A rank keeps only the rows that rank owns: sends addressed to
+    it and the rows it issued itself (its posts and barrier markers),
+    at their original ticks and in trace order, so ``len()`` counts the
+    kept rows.  ``-1`` (:data:`NO_OWNER`) keeps no row and instead sums
+    each rank's matching load -- messages arriving plus receives posted
+    -- into :attr:`load`.  Every mode consumes the model's random stream
+    identically, so one model run per mode sees the same trace.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, owner: int | None = None) -> None:
         #: per column, its blocks in append order
         self._blocks: dict[str, list[np.ndarray]] = {name: []
                                                      for name in COLUMNS}
         self._n = 0
         self._t = 0.0
+        self.owner = owner
+        #: per-rank matching load, summed only when ``owner`` is -1
+        self.load = np.zeros(0, dtype=np.int64)
 
     def __len__(self) -> int:
         """Rows recorded so far."""
         return self._n
 
     def _append(self, **columns: np.ndarray) -> None:
-        """Append one block: every column, equal length, final dtypes."""
+        """Store one block: every column, equal length, final dtypes."""
         for name, col in columns.items():
             self._blocks[name].append(col)
         self._n += len(columns["time"])
+
+    def _append_owned(self, **columns: np.ndarray) -> None:
+        """:meth:`_append` the block's rows that :attr:`owner` keeps."""
+        if self.owner is not None:
+            kind = columns["kind"]
+            owned = np.where(kind == KIND_SEND, columns["peer"],
+                             columns["rank"])
+            if self.owner == NO_OWNER:
+                self._tally(owned[kind != KIND_BARRIER])
+                return
+            keep = np.flatnonzero(owned == self.owner)
+            columns = {name: col[keep] for name, col in columns.items()}
+        self._append(**columns)
+
+    def _tally(self, ranks: np.ndarray, weight: int = 1) -> None:
+        """Add ``weight`` to :attr:`load` once per entry of ``ranks``."""
+        counts = weight * np.bincount(ranks)
+        if counts.size > self.load.size:
+            self.load = np.pad(self.load, (0, counts.size - self.load.size))
+        self.load[:counts.size] += counts
 
     def _ticks(self, n: int) -> np.ndarray:
         """Times of ``n`` rows at the next consecutive ticks."""
@@ -69,18 +104,19 @@ class TraceBuilder:
         cols = np.broadcast_arrays(*(np.asarray(v) for v in
                                      (kind, rank, peer, tag, comm, nbytes)))
         names = [name for name in COLUMNS if name != "time"]
-        self._append(**{name: col.astype(COLUMNS[name])
-                        for name, col in zip(names, cols)},
-                     time=self._ticks(cols[0].size))
+        self._append_owned(**{name: col.astype(COLUMNS[name])
+                              for name, col in zip(names, cols)},
+                           time=self._ticks(cols[0].size))
 
     def barrier(self, n_ranks: int) -> None:
         """Record a superstep boundary on every rank."""
         self._t += 1.0
         zeros = np.zeros(n_ranks, dtype=np.int64)
-        self._append(kind=np.full(n_ranks, KIND_BARRIER, dtype=np.int8),
-                     rank=np.arange(n_ranks, dtype=np.int64), peer=zeros,
-                     tag=zeros, comm=zeros, nbytes=zeros,
-                     time=np.full(n_ranks, self._t))
+        self._append_owned(kind=np.full(n_ranks, KIND_BARRIER,
+                                        dtype=np.int8),
+                           rank=np.arange(n_ranks, dtype=np.int64),
+                           peer=zeros, tag=zeros, comm=zeros, nbytes=zeros,
+                           time=np.full(n_ranks, self._t))
 
     def exchange(self, pairs: np.ndarray | Sequence[tuple[int, int]],
                  tag_of: Callable[[np.ndarray, np.ndarray, np.ndarray],
@@ -104,7 +140,8 @@ class TraceBuilder:
         arrays -- every message's source, destination and per-pair index
         ``k`` -- and may return a scalar (one value for all messages) or
         an array of that length; anything that does not broadcast to it
-        raises ``ValueError``.
+        raises ``ValueError``.  A :data:`NO_OWNER` builder, which keeps
+        no rows, does not call them.
 
         ``prepost_fraction`` of the receives are posted *before* any send
         of the phase (they land in the PRQ and wait); the rest are posted
@@ -126,9 +163,6 @@ class TraceBuilder:
         src = np.repeat(pair_arr[:, 0], m)
         dst = np.repeat(pair_arr[:, 1], m)
         k = np.tile(np.arange(m, dtype=np.int64), len(pair_arr))
-        tag = _per_message(tag_of(src, dst, k), n, "tag_of")
-        comm = (_per_message(comm_of(src, dst, k), n, "comm_of")
-                if comm_of is not None else np.zeros(n, dtype=np.int64))
         # receives: wildcard draws in message order, then one shuffle
         wild = rng.random(n) < wildcard_src_fraction
         recv = np.arange(n)
@@ -137,28 +171,47 @@ class TraceBuilder:
         # sends: pairs in shuffled order, each pair's k messages in order
         order = np.arange(len(pair_arr))
         rng.shuffle(order)
+        if self.owner == NO_OWNER:
+            # each message is one arrival at dst and one post by dst
+            self._tally(dst, weight=2)
+            self._t += 2 * n
+            return
         send = (order[:, None] * m + np.arange(m)).ravel()
+        tag = _per_message(tag_of(src, dst, k), n, "tag_of")
+        comm = (_per_message(comm_of(src, dst, k), n, "comm_of")
+                if comm_of is not None else np.zeros(n, dtype=np.int64))
 
         # rows: pre-posted receives, then the sends, then the late posts
         rows = np.concatenate((recv[:n_pre], send, recv[n_pre:]))
-        sends = slice(n_pre, n_pre + n)
-        kind = np.full(2 * n, KIND_POST, dtype=np.int8)
+        times = self._ticks(2 * n)
+        lo, hi = n_pre, n_pre + n
+        if self.owner is not None:
+            # both rows of a message addressed to the owner: send and post
+            keep = np.flatnonzero(dst[rows] == self.owner)
+            rows, times = rows[keep], times[keep]
+            lo, hi = np.searchsorted(keep, (lo, hi))
+        sends = slice(lo, hi)
+        kind = np.full(rows.size, KIND_POST, dtype=np.int8)
         kind[sends] = KIND_SEND
         rank = dst[rows]
-        rank[sends] = src[send]
+        rank[sends] = src[rows[sends]]
         peer = np.where(wild, -1, src)[rows]
-        peer[sends] = dst[send]
-        out_bytes = np.zeros(2 * n, dtype=np.int64)
+        peer[sends] = dst[rows[sends]]
+        out_bytes = np.zeros(rows.size, dtype=np.int64)
         out_bytes[sends] = nbytes
         self._append(kind=kind, rank=rank, peer=peer, tag=tag[rows],
-                     comm=comm[rows], nbytes=out_bytes,
-                     time=self._ticks(2 * n))
+                     comm=comm[rows], nbytes=out_bytes, time=times)
 
     def build(self, app: str, n_ranks: int, meta: dict | None = None) -> Trace:
         """Finalize into a :class:`Trace`.
 
         Joins one column at a time and drops that column's blocks before
-        the next, so the peak is about one trace plus one column.
+        the next, so the peak of live allocations is about one trace plus
+        one column.  The resident set is larger: the allocator keeps most
+        of the freed blocks' pages, so after a full build the process
+        holds about two traces of memory, and keeps one of them after the
+        trace is dropped.  An ``owner`` builder holds only its rank's
+        rows, which is why the serve loadgen builds that way.
         """
         columns = {}
         for name, dtype in COLUMNS.items():
@@ -234,20 +287,36 @@ class AppModel:
     default_steps: int = 10
 
     def generate(self, n_ranks: int | None = None, steps: int | None = None,
-                 seed: int = 0) -> Trace:
-        """Generate a trace at the given scale (defaults per app)."""
+                 seed: int = 0, *, busiest_only: bool = False) -> Trace:
+        """Generate a trace at the given scale (defaults per app).
+
+        ``busiest_only=True`` returns the trace projected onto its
+        busiest rank (most messages arriving plus receives posted,
+        lowest rank on a tie), named in ``meta["rank"]``: that rank's
+        rows of the full trace, as :class:`TraceBuilder` ``owner``
+        keeps them, without ever holding the other ranks' rows.  The
+        model runs twice with the same seed, once to sum per-rank load
+        and once to keep the busiest rank's rows.
+        """
         n_ranks = self.default_ranks if n_ranks is None else n_ranks
         steps = self.default_steps if steps is None else steps
         if n_ranks < 2:
             raise ValueError("need at least 2 ranks to communicate")
         if steps < 1:
             raise ValueError("steps must be positive")
-        rng = np.random.default_rng(seed + 0x5EED)
-        builder = TraceBuilder()
-        self.build(builder, n_ranks, steps, rng)
-        return builder.build(self.name, n_ranks,
-                             meta={"steps": steps, "seed": seed,
-                                   "suite": self.suite})
+        meta = {"steps": steps, "seed": seed, "suite": self.suite}
+        owner = None
+        if busiest_only:
+            counter = self._run(TraceBuilder(NO_OWNER), n_ranks, steps, seed)
+            owner = meta["rank"] = int(np.argmax(counter.load))
+        builder = self._run(TraceBuilder(owner), n_ranks, steps, seed)
+        return builder.build(self.name, n_ranks, meta=meta)
+
+    def _run(self, b: TraceBuilder, n_ranks: int, steps: int,
+             seed: int) -> TraceBuilder:
+        """One seeded :meth:`build` into ``b``; returns ``b``."""
+        self.build(b, n_ranks, steps, np.random.default_rng(seed + 0x5EED))
+        return b
 
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
@@ -351,10 +420,12 @@ def _symmetrized(n_ranks: int, degrees: Sequence[int],
     other than itself; every draw becomes a two-way edge.  Returns each
     rank's peers, sorted."""
     ranks = np.arange(n_ranks)
-    picks = [rng.choice(np.delete(ranks, r), size=k, replace=False)
-             for r, k in enumerate(degrees)]
+    # rng.choice draws positions into "every rank but r"; position p is
+    # rank p + (p >= r), mapped for all ranks at once
+    dst = np.concatenate([rng.choice(n_ranks - 1, size=k, replace=False)
+                          for k in degrees])
     src = np.repeat(ranks, degrees)
-    dst = np.concatenate(picks)
+    dst += dst >= src
     edges = np.unique(np.concatenate((src * n_ranks + dst,
                                       dst * n_ranks + src)))
     peers = np.split(edges % n_ranks,

@@ -10,9 +10,10 @@ That is precisely the regime MPI-4 partitioned communication targets
 oscillate, the autotuner's Table II lattice walk.
 
 Each model also carries a *phase structure* in ``trace.meta["phases"]``
-(event-index ranges), and :func:`pattern_summary` renders the
-Caliper-style per-phase pattern report the Benchpark thicket analyses
-produce.
+(event-index ranges into the trace as generated, so a rank-projected
+trace's phases index its own rows), and :func:`pattern_summary` renders
+the Caliper-style per-phase pattern report the Benchpark thicket
+analyses produce.
 """
 
 from __future__ import annotations
@@ -32,11 +33,18 @@ class _PhasedModel(AppModel):
     suite = "benchpark"
 
     def generate(self, n_ranks: int | None = None,
-                 steps: int | None = None, seed: int = 0) -> Trace:
-        self._phases: dict[str, tuple[int, int]] = {}
-        trace = super().generate(n_ranks, steps, seed)
+                 steps: int | None = None, seed: int = 0, *,
+                 busiest_only: bool = False) -> Trace:
+        trace = super().generate(n_ranks, steps, seed,
+                                 busiest_only=busiest_only)
         trace.meta["phases"] = dict(self._phases)
         return trace
+
+    def _run(self, b: TraceBuilder, n_ranks: int, steps: int,
+             seed: int) -> TraceBuilder:
+        # each model run marks its own builder's rows
+        self._phases: dict[str, tuple[int, int]] = {}
+        return super()._run(b, n_ranks, steps, seed)
 
     def _phase(self, b: TraceBuilder, name: str) -> None:
         """Close the open phase (if any) and open ``name``."""

@@ -45,11 +45,17 @@ def get_model(name: str) -> AppModel:
 
 
 def generate_trace(app: str, n_ranks: int | None = None,
-                   steps: int | None = None, seed: int = 0) -> Trace:
+                   steps: int | None = None, seed: int = 0, *,
+                   busiest_only: bool = False) -> Trace:
     """Generate a synthetic trace for the named application.
+
+    ``busiest_only=True`` keeps only the busiest rank's rows (see
+    :meth:`AppModel.generate`): the per-rank view the serve loadgen
+    reads, not a trace for the whole-run analyses.
 
     >>> t = generate_trace("exmatex_lulesh", n_ranks=8, steps=2)
     >>> t.n_ranks
     8
     """
-    return get_model(app).generate(n_ranks=n_ranks, steps=steps, seed=seed)
+    return get_model(app).generate(n_ranks=n_ranks, steps=steps, seed=seed,
+                                   busiest_only=busiest_only)
