@@ -18,16 +18,13 @@ import numpy as np
 
 from ..events import COLUMNS, KIND_BARRIER, KIND_POST, KIND_SEND, Trace
 
-__all__ = ["AppModel", "NO_OWNER", "TraceBuilder", "gather_flood",
-           "grid_dims", "grid_neighbors", "pair_array", "ring_neighbors",
+__all__ = ["AppModel", "TraceBuilder", "gather_flood", "grid_dims",
+           "grid_neighbors", "pair_array", "ring_neighbors",
            "random_neighbors", "skewed_neighbors"]
-
-#: ``TraceBuilder`` owner that keeps no row and sums per-rank load
-NO_OWNER = -1
 
 
 class TraceBuilder:
-    """Accumulates trace columns with a monotonically increasing clock.
+    """Records one model run compactly, then materialises trace rows.
 
     Every event takes one clock tick (a barrier takes one tick for all
     ranks).  The synthetic clock has no physical meaning; only the
@@ -36,64 +33,53 @@ class TraceBuilder:
 
     Rows arrive in whole blocks -- :meth:`exchange` (one phase),
     :meth:`block` (n arbitrary rows at consecutive ticks) and
-    :meth:`barrier` -- and are kept per column, already in the
-    :data:`COLUMNS` dtypes, until :meth:`build` joins each column.
+    :meth:`barrier` -- and each call is kept as one record, not as rows:
+    an exchange keeps its pair array and the draws that order its rows,
+    a block or a barrier its columns.  :meth:`build` turns the records
+    into rows -- every row, or only one rank's -- so one model run
+    serves both the whole-trace analyses and a rank projection.
 
-    ``owner`` projects the trace onto one rank.  ``None`` keeps every
-    row.  A rank keeps only the rows that rank owns: sends addressed to
-    it and the rows it issued itself (its posts and barrier markers),
-    at their original ticks and in trace order, so ``len()`` counts the
-    kept rows.  ``-1`` (:data:`NO_OWNER`) keeps no row and instead sums
+    ``len()`` counts the full trace's rows so far.  :attr:`load` sums
     each rank's matching load -- messages arriving plus receives posted
-    -- into :attr:`load`.  Every mode consumes the model's random stream
-    identically, so one model run per mode sees the same trace.
+    -- as the calls arrive, and :meth:`phase` marks named phases that
+    :meth:`build` maps onto the rows it keeps.
     """
 
-    def __init__(self, owner: int | None = None) -> None:
-        #: per column, its blocks in append order
-        self._blocks: dict[str, list[np.ndarray]] = {name: []
-                                                     for name in COLUMNS}
+    def __init__(self) -> None:
+        #: per builder call, its materialiser and that call's arguments
+        self._records: list[tuple[Callable[..., dict], tuple]] = []
+        #: per phase mark, its name and the index of its first record
+        self._marks: list[tuple[str, int]] = []
         self._n = 0
         self._t = 0.0
-        self.owner = owner
-        #: per-rank matching load, summed only when ``owner`` is -1
+        #: per-rank matching load: messages arriving plus receives posted
         self.load = np.zeros(0, dtype=np.int64)
 
     def __len__(self) -> int:
-        """Rows recorded so far."""
+        """Rows of the full trace recorded so far."""
         return self._n
 
-    def _append(self, **columns: np.ndarray) -> None:
-        """Store one block: every column, equal length, final dtypes."""
-        for name, col in columns.items():
-            self._blocks[name].append(col)
-        self._n += len(columns["time"])
+    def _record(self, rows: Callable[..., dict], n_rows: int,
+                *args) -> None:
+        """Keep one call: :meth:`build` runs ``rows(rank, to_rank,
+        *args)`` for the call's columns."""
+        self._records.append((rows, args))
+        self._n += n_rows
 
-    def _append_owned(self, **columns: np.ndarray) -> None:
-        """:meth:`_append` the block's rows that :attr:`owner` keeps."""
-        if self.owner is not None:
-            kind = columns["kind"]
-            owned = np.where(kind == KIND_SEND, columns["peer"],
-                             columns["rank"])
-            if self.owner == NO_OWNER:
-                self._tally(owned[kind != KIND_BARRIER])
-                return
-            keep = np.flatnonzero(owned == self.owner)
-            columns = {name: col[keep] for name, col in columns.items()}
-        self._append(**columns)
-
-    def _tally(self, ranks: np.ndarray, weight: int = 1) -> None:
-        """Add ``weight`` to :attr:`load` once per entry of ``ranks``."""
-        counts = weight * np.bincount(ranks)
+    def _tally(self, counts: np.ndarray) -> None:
+        """Add per-rank ``counts`` to :attr:`load`."""
         if counts.size > self.load.size:
             self.load = np.pad(self.load, (0, counts.size - self.load.size))
         self.load[:counts.size] += counts
 
-    def _ticks(self, n: int) -> np.ndarray:
-        """Times of ``n`` rows at the next consecutive ticks."""
-        times = self._t + np.arange(1, n + 1, dtype=np.float64)
-        self._t += n
-        return times
+    def phase(self, name: str) -> None:
+        """Open the named phase at the next row, closing the open one.
+
+        :meth:`build` closes the last phase at the trace's end and
+        records every phase as a ``(first row, end row)`` range of the
+        rows it keeps, in ``meta["phases"]``.
+        """
+        self._marks.append((name, len(self._records)))
 
     def block(self, kind, rank, peer, tag, comm=0, nbytes=0) -> None:
         """Record ``n`` rows at the next ``n`` consecutive ticks.
@@ -104,19 +90,18 @@ class TraceBuilder:
         cols = np.broadcast_arrays(*(np.asarray(v) for v in
                                      (kind, rank, peer, tag, comm, nbytes)))
         names = [name for name in COLUMNS if name != "time"]
-        self._append_owned(**{name: col.astype(COLUMNS[name])
-                              for name, col in zip(names, cols)},
-                           time=self._ticks(cols[0].size))
+        columns = {name: col.astype(COLUMNS[name])
+                   for name, col in zip(names, cols)}
+        kind = columns["kind"]
+        owned = np.where(kind == KIND_SEND, columns["peer"], columns["rank"])
+        self._tally(np.bincount(owned[kind != KIND_BARRIER]))
+        self._record(_block_rows, kind.size, columns, self._t)
+        self._t += kind.size
 
     def barrier(self, n_ranks: int) -> None:
         """Record a superstep boundary on every rank."""
         self._t += 1.0
-        zeros = np.zeros(n_ranks, dtype=np.int64)
-        self._append_owned(kind=np.full(n_ranks, KIND_BARRIER,
-                                        dtype=np.int8),
-                           rank=np.arange(n_ranks, dtype=np.int64),
-                           peer=zeros, tag=zeros, comm=zeros, nbytes=zeros,
-                           time=np.full(n_ranks, self._t))
+        self._record(_barrier_rows, n_ranks, n_ranks, self._t)
 
     def exchange(self, pairs: np.ndarray | Sequence[tuple[int, int]],
                  tag_of: Callable[[np.ndarray, np.ndarray, np.ndarray],
@@ -136,12 +121,11 @@ class TraceBuilder:
 
         ``tag_of(src, dst, k)`` names the tag of the k-th message on a
         pair; ``comm_of`` likewise for the communicator (default 0).
-        Both are called once per phase with three equal-length int64
-        arrays -- every message's source, destination and per-pair index
-        ``k`` -- and may return a scalar (one value for all messages) or
-        an array of that length; anything that does not broadcast to it
-        raises ``ValueError``.  A :data:`NO_OWNER` builder, which keeps
-        no rows, does not call them.
+        Both are called once per phase, when the phase is recorded, with
+        three equal-length int64 arrays -- every message's source,
+        destination and per-pair index ``k`` -- and may return a scalar
+        (one value for all messages) or an array of that length;
+        anything that does not broadcast to it raises ``ValueError``.
 
         ``prepost_fraction`` of the receives are posted *before* any send
         of the phase (they land in the PRQ and wait); the rest are posted
@@ -149,6 +133,12 @@ class TraceBuilder:
         ``wildcard_src_fraction`` of the receives use MPI_ANY_SOURCE.
         Both fractions must lie in ``[0, 1]``.  The receive order and the
         pair order are each one seeded shuffle.
+
+        The record keeps ``pairs`` itself (an int64 ``(m, 2)`` array is
+        not copied, so it must not change afterwards), the wildcard
+        message indices and both shuffles in the smallest integer dtype
+        that holds them, and the tag and communicator values; no row
+        exists until :meth:`build`.
         """
         for what, fraction in (("prepost_fraction", prepost_fraction),
                                ("wildcard_src_fraction",
@@ -156,71 +146,160 @@ class TraceBuilder:
             if not 0.0 <= fraction <= 1.0:
                 raise ValueError(f"{what} must be in [0, 1], got {fraction}")
         rng = rng if rng is not None else np.random.default_rng(0)
-        pair_arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+        pair_arr = np.asarray(pairs, dtype=np.int64)
+        if pair_arr.shape[1:] != (2,):
+            pair_arr = pair_arr.reshape(-1, 2)
         m = msgs_per_pair
         n = len(pair_arr) * m
-        # one row per message, pair-major: (src, dst, k)
-        src = np.repeat(pair_arr[:, 0], m)
-        dst = np.repeat(pair_arr[:, 1], m)
-        k = np.tile(np.arange(m, dtype=np.int64), len(pair_arr))
-        # receives: wildcard draws in message order, then one shuffle
-        wild = rng.random(n) < wildcard_src_fraction
+        # every message, pair-major: (src, dst, k)
+        src, dst = (np.repeat(pair_arr, m, axis=0) if m > 1 else pair_arr).T
+        k = (np.arange(n, dtype=np.int64) % m if m > 1 else
+             np.zeros(n, dtype=np.int64))
+        # receives: wildcard draws in message order, then one shuffle (of
+        # int64, NumPy's fast case; the draws do not depend on the dtype)
+        index = np.min_scalar_type(max(n - 1, 0))
+        wild = np.flatnonzero(rng.random(n) < wildcard_src_fraction)
         recv = np.arange(n)
         rng.shuffle(recv)
         n_pre = int(round(prepost_fraction * n))
         # sends: pairs in shuffled order, each pair's k messages in order
         order = np.arange(len(pair_arr))
         rng.shuffle(order)
-        if self.owner == NO_OWNER:
-            # each message is one arrival at dst and one post by dst
-            self._tally(dst, weight=2)
-            self._t += 2 * n
-            return
-        send = (order[:, None] * m + np.arange(m)).ravel()
         tag = _per_message(tag_of(src, dst, k), n, "tag_of")
         comm = (_per_message(comm_of(src, dst, k), n, "comm_of")
-                if comm_of is not None else np.zeros(n, dtype=np.int64))
+                if comm_of is not None else np.broadcast_to(np.int64(0), (n,)))
+        # each message is one arrival at dst and one post by dst
+        self._tally(2 * m * np.bincount(pair_arr[:, 1]))
+        self._record(_exchange_rows, 2 * n, pair_arr, m, n_pre,
+                     wild.astype(index), recv.astype(index),
+                     order.astype(np.min_scalar_type(max(len(order) - 1, 0))),
+                     tag, comm, nbytes, self._t)
+        self._t += 2 * n
 
-        # rows: pre-posted receives, then the sends, then the late posts
-        rows = np.concatenate((recv[:n_pre], send, recv[n_pre:]))
-        times = self._ticks(2 * n)
-        lo, hi = n_pre, n_pre + n
-        if self.owner is not None:
-            # both rows of a message addressed to the owner: send and post
-            keep = np.flatnonzero(dst[rows] == self.owner)
-            rows, times = rows[keep], times[keep]
-            lo, hi = np.searchsorted(keep, (lo, hi))
-        sends = slice(lo, hi)
-        kind = np.full(rows.size, KIND_POST, dtype=np.int8)
-        kind[sends] = KIND_SEND
-        rank = dst[rows]
-        rank[sends] = src[rows[sends]]
-        peer = np.where(wild, -1, src)[rows]
-        peer[sends] = dst[rows[sends]]
-        out_bytes = np.zeros(rows.size, dtype=np.int64)
-        out_bytes[sends] = nbytes
-        self._append(kind=kind, rank=rank, peer=peer, tag=tag[rows],
-                     comm=comm[rows], nbytes=out_bytes, time=times)
+    def build(self, app: str, n_ranks: int, meta: dict | None = None, *,
+              rank: int | None = None) -> Trace:
+        """Materialise the recorded calls into a :class:`Trace`.
 
-    def build(self, app: str, n_ranks: int, meta: dict | None = None) -> Trace:
-        """Finalize into a :class:`Trace`.
+        ``rank=None`` keeps every row: the trace the whole-run analyses
+        read (Table I, Figs 2 and 6(a)).  A rank keeps only the rows it
+        owns -- sends addressed to it and the rows it issued (its posts
+        and barrier markers) -- at their original ticks and in trace
+        order; an exchange then materialises only that rank's messages,
+        found through one mask per distinct pair array.  Phase marks become
+        ``meta["phases"]`` ranges of the kept rows.
 
-        Joins one column at a time and drops that column's blocks before
-        the next, so the peak of live allocations is about one trace plus
-        one column.  The resident set is larger: the allocator keeps most
-        of the freed blocks' pages, so after a full build the process
-        holds about two traces of memory, and keeps one of them after the
-        trace is dropped.  An ``owner`` builder holds only its rank's
-        rows, which is why the serve loadgen builds that way.
+        The full trace is written into columns allocated once, so the
+        peak of live allocations is about one trace plus the records
+        (~1.7 MB for df_amg at 16 steps, whose trace is 34 MB), and the
+        resident set follows it.  The records stay, so one run can be
+        built again, for another rank or in full.
         """
-        columns = {}
-        for name, dtype in COLUMNS.items():
-            blocks = self._blocks[name]
-            columns[name] = (blocks[0] if len(blocks) == 1 else
-                             np.concatenate(blocks) if blocks else
-                             np.empty(0, dtype=dtype))
-            blocks[:] = [columns[name]]
-        return Trace(app=app, n_ranks=n_ranks, meta=meta, columns=columns)
+        masks: dict[tuple[int, int], np.ndarray] = {}
+
+        def to_rank(pairs: np.ndarray, m: int) -> np.ndarray:
+            """Per message of ``pairs`` (``m`` per pair): addressed to
+            ``rank``?  Computed once per distinct pair array."""
+            key = (id(pairs), m)
+            if key not in masks:
+                masks[key] = np.repeat(pairs[:, 1] == rank, m)
+            return masks[key]
+
+        out = (None if rank is not None else
+               {name: np.empty(self._n, dtype=dtype)
+                for name, dtype in COLUMNS.items()})
+        parts, starts, kept = [], [], 0
+        for rows, args in self._records:
+            part = rows(rank, to_rank, *args)
+            size = part["time"].size
+            starts.append(kept)
+            if out is None:
+                parts.append(part)
+            else:
+                for name, col in part.items():
+                    out[name][kept:kept + size] = col
+            kept += size
+        starts.append(kept)
+        if out is None:
+            out = {name: np.concatenate([part[name] for part in parts]
+                                        + [np.empty(0, dtype=dtype)])
+                   for name, dtype in COLUMNS.items()}
+        meta = dict(meta or {})
+        if self._marks:
+            bounds = [starts[at] for _, at in self._marks] + [kept]
+            meta["phases"] = {name: (lo, hi) for (name, _), lo, hi
+                              in zip(self._marks, bounds, bounds[1:])}
+        return Trace(app=app, n_ranks=n_ranks, meta=meta, columns=out)
+
+
+def _exchange_rows(rank, to_rank, pairs, m, n_pre, wild, recv, order, tag,
+                   comm, nbytes, t0) -> dict:
+    """One exchange's rows (all, or those ``rank`` owns), from its record.
+
+    The phase's ``2n`` rows are the pre-posted receives, then the sends,
+    then the late posts, at ticks ``t0 + 1 ..``: the receive at position
+    ``p`` of ``recv`` is row ``p`` (pre-posted) or ``n + p``, and the
+    pair at position ``q`` of ``order`` sends rows ``n_pre + q*m ..``.
+    """
+    n = len(pairs) * m
+    k = np.arange(m)
+    if rank is None:
+        posts, senders, early = recv, order, n_pre
+    else:
+        # both rows of each message addressed to rank: its send and post
+        mine = to_rank(pairs, m)
+        at, q = np.flatnonzero(mine[recv]), np.flatnonzero(mine[::m][order])
+        posts, senders = recv[at], order[q]
+        early = int(np.searchsorted(at, n_pre))
+    send = (senders.astype(np.int64)[:, None] * m + k).ravel()
+    msg = np.concatenate((posts[:early], send, posts[early:]),
+                         dtype=np.int64)
+    tick = (np.arange(1, 2 * n + 1) if rank is None else
+            1 + np.concatenate((at[:early], n_pre + (q[:, None] * m
+                                                      + k).ravel(),
+                                n + at[early:])))
+    sends = slice(early, early + send.size)
+    pair = msg // m if m > 1 else msg
+    src, dst = pairs[:, 0][pair], pairs[:, 1][pair]
+    kind = np.full(msg.size, KIND_POST, dtype=np.int8)
+    kind[sends] = KIND_SEND
+    ranks = dst.copy()
+    ranks[sends] = src[sends]
+    peer = src
+    if wild.size:
+        is_wild = np.zeros(n, dtype=bool)
+        is_wild[wild] = True
+        peer[is_wild[msg]] = -1
+    peer[sends] = dst[sends]
+    out_bytes = np.zeros(msg.size, dtype=np.int64)
+    out_bytes[sends] = nbytes
+    return {"kind": kind, "rank": ranks, "peer": peer,
+            "tag": tag[msg], "comm": comm[msg],
+            "nbytes": out_bytes, "time": t0 + tick.astype(np.float64)}
+
+
+def _block_rows(rank, to_rank, columns, t0) -> dict:
+    """One block's rows (all, or those ``rank`` owns) at ticks
+    ``t0 + 1 ..``."""
+    n = columns["kind"].size
+    if rank is None:
+        keep = np.arange(n)
+    else:
+        owned = np.where(columns["kind"] == KIND_SEND, columns["peer"],
+                         columns["rank"])
+        keep = np.flatnonzero(owned == rank)
+    return {**{name: col[keep] for name, col in columns.items()},
+            "time": t0 + (keep + 1).astype(np.float64)}
+
+
+def _barrier_rows(rank, to_rank, n_ranks, t) -> dict:
+    """One barrier's markers at tick ``t``: every rank's, or ``rank``'s."""
+    ranks = np.arange(n_ranks, dtype=np.int64)
+    if rank is not None:
+        ranks = ranks[ranks == rank]
+    zeros = np.zeros(ranks.size, dtype=np.int64)
+    return {"kind": np.full(ranks.size, KIND_BARRIER, dtype=np.int8),
+            "rank": ranks, "peer": zeros, "tag": zeros, "comm": zeros,
+            "nbytes": zeros, "time": np.full(ranks.size, t)}
 
 
 def _per_message(values, n: int, what: str) -> np.ndarray:
@@ -293,10 +372,10 @@ class AppModel:
         ``busiest_only=True`` returns the trace projected onto its
         busiest rank (most messages arriving plus receives posted,
         lowest rank on a tie), named in ``meta["rank"]``: that rank's
-        rows of the full trace, as :class:`TraceBuilder` ``owner``
-        keeps them, without ever holding the other ranks' rows.  The
-        model runs twice with the same seed, once to sum per-rank load
-        and once to keep the busiest rank's rows.
+        rows of the full trace, as :meth:`TraceBuilder.build` keeps
+        them.  Either way the model runs once; the projection reads the
+        run's :attr:`~TraceBuilder.load` and materialises only that
+        rank's rows.
         """
         n_ranks = self.default_ranks if n_ranks is None else n_ranks
         steps = self.default_steps if steps is None else steps
@@ -305,16 +384,15 @@ class AppModel:
         if steps < 1:
             raise ValueError("steps must be positive")
         meta = {"steps": steps, "seed": seed, "suite": self.suite}
-        owner = None
+        b = self.record(n_ranks, steps, seed)
+        rank = None
         if busiest_only:
-            counter = self._run(TraceBuilder(NO_OWNER), n_ranks, steps, seed)
-            owner = meta["rank"] = int(np.argmax(counter.load))
-        builder = self._run(TraceBuilder(owner), n_ranks, steps, seed)
-        return builder.build(self.name, n_ranks, meta=meta)
+            rank = meta["rank"] = int(np.argmax(b.load))
+        return b.build(self.name, n_ranks, meta=meta, rank=rank)
 
-    def _run(self, b: TraceBuilder, n_ranks: int, steps: int,
-             seed: int) -> TraceBuilder:
-        """One seeded :meth:`build` into ``b``; returns ``b``."""
+    def record(self, n_ranks: int, steps: int, seed: int) -> TraceBuilder:
+        """One seeded :meth:`build` into a fresh builder, returned."""
+        b = TraceBuilder()
         self.build(b, n_ranks, steps, np.random.default_rng(seed + 0x5EED))
         return b
 

@@ -9,11 +9,13 @@ That is precisely the regime MPI-4 partitioned communication targets
 (match once, re-fire many) and the regime that should pin, not
 oscillate, the autotuner's Table II lattice walk.
 
-Each model also carries a *phase structure* in ``trace.meta["phases"]``
-(event-index ranges into the trace as generated, so a rank-projected
-trace's phases index its own rows), and :func:`pattern_summary` renders
-the Caliper-style per-phase pattern report the Benchpark thicket
-analyses produce.
+Each model also carries a *phase structure* in ``trace.meta["phases"]``.
+Like Caliper's phase regions, the marks are made once per run, on the
+:class:`~.base.TraceBuilder` (:meth:`~.base.TraceBuilder.phase`), and
+the builder maps them onto the rows it keeps: event-index ranges into
+the trace as generated, so a rank-projected trace's phases index its
+own rows.  :func:`pattern_summary` renders the Caliper-style per-phase
+pattern report the Benchpark thicket analyses produce.
 """
 
 from __future__ import annotations
@@ -27,42 +29,7 @@ from .base import (AppModel, TraceBuilder, grid_dims, pair_array,
 __all__ = ["AMG2023", "Kripke", "Laghos", "pattern_summary"]
 
 
-class _PhasedModel(AppModel):
-    """AppModel that records named phases as event-index ranges."""
-
-    suite = "benchpark"
-
-    def generate(self, n_ranks: int | None = None,
-                 steps: int | None = None, seed: int = 0, *,
-                 busiest_only: bool = False) -> Trace:
-        trace = super().generate(n_ranks, steps, seed,
-                                 busiest_only=busiest_only)
-        trace.meta["phases"] = dict(self._phases)
-        return trace
-
-    def _run(self, b: TraceBuilder, n_ranks: int, steps: int,
-             seed: int) -> TraceBuilder:
-        # each model run marks its own builder's rows
-        self._phases: dict[str, tuple[int, int]] = {}
-        return super()._run(b, n_ranks, steps, seed)
-
-    def _phase(self, b: TraceBuilder, name: str) -> None:
-        """Close the open phase (if any) and open ``name``."""
-        mark = len(b)
-        if self._phases:
-            last = next(reversed(self._phases))
-            lo, _ = self._phases[last]
-            self._phases[last] = (lo, mark)
-        self._phases[name] = (mark, mark)
-
-    def _close(self, b: TraceBuilder) -> None:
-        if self._phases:
-            last = next(reversed(self._phases))
-            lo, _ = self._phases[last]
-            self._phases[last] = (lo, len(b))
-
-
-class AMG2023(_PhasedModel):
+class AMG2023(AppModel):
     """Algebraic multigrid (hypre BoomerAMG): setup vs solve phases.
 
     Setup coarsens the operator level by level -- each coarser level has
@@ -107,7 +74,7 @@ class AMG2023(_PhasedModel):
         levels = self._level_pairs(n_ranks, rng)
         # -- setup: one coarsening pass, a couple of exchanges per level
         # (strength-of-connection + interpolation), modest counts
-        self._phase(b, "setup")
+        b.phase("setup")
         for lvl, pairs in enumerate(levels):
             b.exchange(pairs, tag_of=lambda s, d, k, L=lvl: L,
                        msgs_per_pair=2, prepost_fraction=0.7, rng=rng)
@@ -115,7 +82,7 @@ class AMG2023(_PhasedModel):
         # -- solve: `steps` V-cycles over the fixed hierarchy; each
         # cycle visits every level twice (down + up) with many small
         # halo messages per visit -- the re-fire phase
-        self._phase(b, "solve")
+        b.phase("solve")
         for _cycle in range(steps):
             walk = list(range(len(levels))) + \
                 list(range(len(levels) - 1, -1, -1))
@@ -123,10 +90,9 @@ class AMG2023(_PhasedModel):
                 b.exchange(levels[lvl], tag_of=lambda s, d, k, L=lvl: L,
                            msgs_per_pair=4, prepost_fraction=1.0, rng=rng)
             b.barrier(n_ranks)
-        self._close(b)
 
 
-class Kripke(_PhasedModel):
+class Kripke(AppModel):
     """Deterministic Sn transport: KBA sweep pipelining.
 
     Eight octant sweeps over a 2-D process decomposition: each octant is
@@ -157,17 +123,16 @@ class Kripke(_PhasedModel):
             pair_array([[index[c] for c in ((x + dx, y), (x, y + dy))
                          if c in index] for x, y in index])
             for dx, dy in [(sx, sy) for sx in (1, -1) for sy in (1, -1)] * 2]
-        self._phase(b, "sweep")
+        b.phase("sweep")
         for _it in range(steps):
             for octant, pairs in enumerate(octant_pairs):
                 b.exchange(pairs, tag_of=lambda s, d, k, o=octant: o,
                            msgs_per_pair=self.CHUNKS,
                            prepost_fraction=1.0, rng=rng)
             b.barrier(n_ranks)
-        self._close(b)
 
 
-class Laghos(_PhasedModel):
+class Laghos(AppModel):
     """High-order Lagrangian hydrodynamics: unstructured halo exchange.
 
     The mesh decomposition is irregular but *fixed* for the whole run
@@ -192,7 +157,7 @@ class Laghos(_PhasedModel):
     def build(self, b: TraceBuilder, n_ranks: int, steps: int,
               rng: np.random.Generator) -> None:
         pairs = pair_array(random_neighbors(n_ranks, k=5, rng=rng))
-        self._phase(b, "timestep")
+        b.phase("timestep")
         for _step in range(steps):
             b.exchange(pairs,
                        tag_of=lambda s, d, k: self.TAG_FORCE,
@@ -203,7 +168,6 @@ class Laghos(_PhasedModel):
                        msgs_per_pair=1, prepost_fraction=1.0, rng=rng,
                        nbytes=64)
             b.barrier(n_ranks)
-        self._close(b)
 
 
 def pattern_summary(trace: Trace) -> dict:

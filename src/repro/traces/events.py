@@ -88,9 +88,9 @@ class Trace:
         Generator parameters (steps, seed, geometry, ...), recorded for
         reproducibility.
 
-    The columns are validated on construction: kind values, time order,
-    rank range, send-destination range, and post-source range (a rank or
-    ``-1``, the ``ANY_SOURCE`` wildcard).
+    The columns are validated on construction: kind values, finite
+    times in order, rank range, send-destination range, and post-source
+    range (a rank or ``-1``, the ``ANY_SOURCE`` wildcard).
     """
 
     def __init__(self, app: str, n_ranks: int,
@@ -119,8 +119,8 @@ class Trace:
 
     def _validate(self, raw_kind: np.ndarray) -> None:
         """Raise on the first (lowest-row) violation, checks in the order
-        kind (``raw_kind``: the kind column before its int8 cast), time,
-        rank, send dst, post src."""
+        kind (``raw_kind``: the kind column before its int8 cast), finite
+        time, time order, rank, send dst, post src."""
         kind, rank, peer, time = (self.columns[name] for name in
                                   ("kind", "rank", "peer", "time"))
         n = self.n_ranks
@@ -128,6 +128,8 @@ class Trace:
             (np.flatnonzero(np.logical_and.reduce(
                 [raw_kind != k for k in _KINDS])),
              lambda i: f"unknown event kind {raw_kind[i]}"),
+            (np.flatnonzero(~np.isfinite(time)),
+             lambda i: f"event time {time[i]} at row {i} is not finite"),
             (np.flatnonzero(time[1:] < time[:-1]) + 1,
              lambda i: f"events out of time order at t={time[i]} "
                        f"(< {time[i - 1]})"),

@@ -91,7 +91,8 @@ def _parse(lines: Iterable[str]) -> Trace:
                     f"unsupported trace format version {rec.get('v')!r}")
             header = {"app": _field(rec, "app", lineno, types=(str,)),
                       "n_ranks": _field(rec, "ranks", lineno),
-                      "meta": rec.get("meta")}
+                      "meta": _field(rec, "meta", lineno, None,
+                                     types=(dict, type(None)))}
         elif header is None:
             raise ValueError(f"line {lineno}: event before header")
         elif kind in _RECORDS:

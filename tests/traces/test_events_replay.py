@@ -58,6 +58,19 @@ class TestTrace:
             Trace("x", 2, {**cols, "kind": np.array([0, 0, 3]),
                            "rank": np.array([0, 7, 0])})
 
+    def test_non_finite_time_rejected(self):
+        nan, inf = float("nan"), float("inf")
+        # < never holds against NaN, so the order check alone passes it
+        with pytest.raises(ValueError, match="time nan at row 0 is not"):
+            T([S(nan, 0, 1, 0), S(1, 0, 1, 0)])
+        with pytest.raises(ValueError, match="time inf at row 1 is not"):
+            T([S(1, 0, 1, 0), S(inf, 0, 1, 0)])
+        # named before a later row's other fault, and before time order
+        with pytest.raises(ValueError, match="time -inf at row 0"):
+            T([S(-inf, 0, 1, 0), S(2, 0, 9, 0)])
+        with pytest.raises(ValueError, match="time nan at row 1"):
+            T([S(2, 0, 1, 0), S(nan, 0, 1, 0), S(1, 0, 1, 0)])
+
     def test_malformed_columns_rejected(self):
         cols = columns([S(1, 0, 1, 0), S(2, 1, 0, 0)])
         with pytest.raises(ValueError, match="equal length"):

@@ -101,6 +101,26 @@ class TestFormatErrors:
         with pytest.raises(ValueError, match="line 1: field 'ranks'"):
             loads('{"k":"h","v":1,"app":"x","ranks":"2","meta":{}}')
 
+    def test_non_finite_time(self):
+        # json parses NaN and Infinity; a trace time must be finite
+        h = '{"k":"h","v":1,"app":"x","ranks":2,"meta":{}}'
+        with pytest.raises(ValueError, match="time nan at row 0"):
+            loads(h + '\n{"k":"s","t":NaN,"r":0,"d":1,"g":0}'
+                  '\n{"k":"p","t":1.0,"r":1,"s":0,"g":0}')
+        with pytest.raises(ValueError, match="time inf at row 1"):
+            loads(h + '\n{"k":"s","t":1.0,"r":0,"d":1,"g":0}'
+                  '\n{"k":"p","t":Infinity,"r":1,"s":0,"g":0}')
+
+    @pytest.mark.parametrize("meta", ["[1]", "5", '"ab"'])
+    def test_header_meta_not_an_object(self, meta):
+        with pytest.raises(ValueError, match="line 1: field 'meta' must be"):
+            loads('{"k":"h","v":1,"app":"x","ranks":2,"meta":%s}' % meta)
+
+    def test_header_meta_null_or_absent(self):
+        for header in ('{"k":"h","v":1,"app":"x","ranks":2,"meta":null}',
+                       '{"k":"h","v":1,"app":"x","ranks":2}'):
+            assert loads(header).meta == {}
+
     def test_post_src_out_of_range(self):
         h = '{"k":"h","v":1,"app":"x","ranks":4,"meta":{}}'
         with pytest.raises(ValueError, match="post src 99 out of range"):
