@@ -34,6 +34,8 @@ system:
   service calls loopback workers directly, the cluster runs each worker
   in its own process behind pickle-free CRC-guarded wire frames, and a
   same-seed cluster run is bit-identical to the in-process service.
+  Both routers keep every routed flush in one columnar
+  :class:`~repro.serve.flushlog.FlushLog`.
   The cluster router is the one recovery and migration path: worker
   death recovers by checkpoint + verbatim journal re-execution (zero
   admitted requests lost), and live tenant migration comes with
@@ -58,6 +60,7 @@ from .cluster import (ClusterError, ClusterMigration, ClusterRecovery,
 from .fabric import (BridgePrecv, BridgePsend, BridgeRequest,
                      CollectiveBridge, Fabric, FabricError, FabricFlush,
                      FabricLink)
+from .flushlog import FlushLog
 from .loadgen import (BENCHPARK_BENCH_APPS, DEFAULT_BENCH_APPS,
                       ServeArrival, ServeWorkload, busiest_rank, demo,
                       merge_workloads, run_workload,
@@ -82,7 +85,7 @@ __all__ = [
     "WorkloadProfile", "StreamProfiler",
     "LATTICE", "lattice_rank", "Autotuner", "RetuneEvent",
     "VirtualClock", "TimerEvent", "EventLoop",
-    "Shard", "TenantState", "MatchingService",
+    "Shard", "TenantState", "MatchingService", "FlushLog",
     "ServeArrival", "ServeWorkload", "busiest_rank",
     "tenant_stream_from_trace", "workload_from_app", "merge_workloads",
     "DEFAULT_BENCH_APPS", "BENCHPARK_BENCH_APPS", "run_workload", "demo",

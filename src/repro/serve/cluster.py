@@ -69,7 +69,8 @@ from ..core.envelope import EnvelopeBatch
 from .admission import AdmissionPolicy
 from .batching import BatchPolicy
 from .loadgen import ServeWorkload, _drive
-from .messages import ClusterError, ShardCrash, TenantSpec, Ticket
+from .messages import (ClusterError, FlushResult, ShardCrash, TenantSpec,
+                       Ticket)
 from .service import Router, ShardWorker
 from .stages import SERVE_STAGES, StageClock
 from .state import dumps, install_worker, loads, policies_from, policies_state
@@ -362,16 +363,23 @@ class ClusterService(Router):
         self._pump()
         return seq
 
-    def advance_to(self, vt: float) -> None:
+    def advance_to(self, vt: float) -> list[FlushResult]:
         """Broadcast a virtual-time advance (fires due batch deadlines
-        on every worker, each in its own ``(vt, seq)`` order)."""
-        self._advance(vt)
-        self._pump()
+        on every worker, each in its own ``(vt, seq)`` order); returns
+        the flushes routed meanwhile (the rest arrive by :meth:`sync`)."""
+        with self._collecting() as routed:
+            self._advance(vt)
+            self._pump()
+        return routed
 
-    def drain(self) -> None:
-        """Broadcast a drain: every worker flushes every accumulator."""
-        self._drain()
-        self._pump()
+    def drain(self) -> list[FlushResult]:
+        """Broadcast a drain: every worker flushes every accumulator;
+        returns the flushes routed meanwhile (the rest arrive by
+        :meth:`sync`)."""
+        with self._collecting() as routed:
+            self._drain()
+            self._pump()
+        return routed
 
     def fabric_deliver(self, dst_shard: int, xfer: dict) -> None:
         """Route one fabric transfer to the destination worker.
@@ -385,7 +393,7 @@ class ClusterService(Router):
         self._send(self._workers[dst_shard], "fabric_xfer", xfer)
         self._pump()
 
-    def sync(self) -> None:
+    def sync(self) -> list[FlushResult]:
         """FIFO barrier + stats collection.
 
         Sends a tokened stats request to every worker and pumps until
@@ -393,16 +401,19 @@ class ClusterService(Router):
         sent before the request, so on return every routed submission
         has its ticket and every produced flush result is collected.
         Dead workers found at the barrier are recovered and re-asked.
+        Returns the flushes routed during the barrier.
         """
         self._require_live()
         self._stats_token += 1
         token = self._stats_token
         frame = self._encode_transport("stats", {"token": token})
-        for w in self._workers:
-            self._post_until_sent(w, frame)
-        self._await(self._workers, lambda w: w.stats_token >= token,
-                    lambda w: self._post_until_sent(w, frame),
-                    "missed the stats barrier")
+        with self._collecting() as routed:
+            for w in self._workers:
+                self._post_until_sent(w, frame)
+            self._await(self._workers, lambda w: w.stats_token >= token,
+                        lambda w: self._post_until_sent(w, frame),
+                        "missed the stats barrier")
+        return routed
 
     # -- chaos --------------------------------------------------------------------
 
@@ -643,7 +654,7 @@ class ClusterService(Router):
             if key in self._seen_flush:
                 return   # journal replay re-delivered a known flush
             self._seen_flush.add(key)
-            self.results.append(payload)
+            self._route_flush(payload)
             w.flushes_since_ckpt += 1
         elif kind == "checkpointed":
             if w.ckpt_mark is None:

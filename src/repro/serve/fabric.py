@@ -384,7 +384,6 @@ class CollectiveBridge:
         self.comm_id = comm_id
         self.subs = list(plane.sub_tenants(tenant))
         self.fabric = Fabric(plane, link=link)
-        self._results_seen = len(plane.results)
         # partitioned-channel plane (driver-side, like payload tokens)
         self._next_channel = 1
         self._channels: dict[tuple[int, int], dict] = {}
@@ -470,15 +469,14 @@ class CollectiveBridge:
         for ps in pending:
             ps._fire()
         fl = self.fabric.flush()
-        plane.advance_to(fl.end_vt)
-        plane.drain()
+        routed = plane.advance_to(fl.end_vt)
+        routed += plane.drain()
         sync = getattr(plane, "sync", None)
         if sync is not None:
-            sync()   # cluster plane: barrier so every flush is collected
-        new_results = plane.results[self._results_seen:]
-        self._results_seen = len(plane.results)
+            # cluster plane: barrier so every flush is collected
+            routed += sync()
         by_tenant: dict[str, list] = {}
-        for r in new_results:
+        for r in routed:
             by_tenant.setdefault(r.tenant, []).append(r)
         for tenant, step in fl.manifest.items():
             results = by_tenant.get(tenant, [])

@@ -97,6 +97,11 @@ class EventLoop:
             self.clock.advance_to(ev.vt)
             yield ev
 
+    def retain(self, keep) -> None:
+        """Drop every pending event for which ``keep(event)`` is false."""
+        self._heap = [ev for ev in self._heap if keep(ev)]
+        heapq.heapify(self._heap)
+
     def __len__(self) -> int:
         return len(self._heap)
 

@@ -33,8 +33,8 @@ analogue of the fast-path equivalence contract).
 
 from __future__ import annotations
 
-import heapq
 import zlib
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from ..simt.gpu import GPUSpec, PASCAL_GTX1080
 from .admission import AdmissionPolicy
 from .autotuner import RetuneEvent
 from .batching import BatchPolicy
+from .flushlog import FlushLog
 from .messages import (ClusterError, FlushResult, ServeRequest, TenantSpec,
                        Ticket)
 from .scheduler import EventLoop
@@ -135,6 +136,9 @@ class ShardWorker:
         if kind == "drain":
             out = self._advance(payload["vt"])
             out.extend(("flush", r) for r in shard.flush_all(loop.now))
+            # every accumulator is empty now, so every armed deadline
+            # timer names a flushed epoch and could only fire as a no-op
+            loop.retain(self._timer_live)
             return out
         if kind == "fabric_xfer":
             # Admission is bypassed (the envelopes were charged at their
@@ -189,24 +193,28 @@ class ShardWorker:
             # name a tenant this worker no longer hosts.  The drained
             # accumulator travelled in the export blob and was re-armed
             # where it was installed.
-            loop._heap = [ev for ev in loop._heap if ev.payload[0] != tenant]
-            heapq.heapify(loop._heap)
+            loop.retain(self._timer_live)
             return []
         if kind == "stop":
             self.stopped = True
             return [("bye", {"worker_id": self.worker_id})]
         raise WireError(f"worker cannot handle frame {kind!r}")
 
+    def _timer_live(self, ev) -> bool:
+        """Does a deadline timer's ``(tenant, epoch)`` still name a
+        non-empty accumulator on this shard?"""
+        tenant, epoch = ev.payload
+        ts = self.shard.tenants.get(tenant)
+        return (ts is not None and ts.accumulator.epoch == epoch
+                and len(ts.accumulator) > 0)
+
     def _advance(self, vt: float) -> list[tuple[str, object]]:
         """Fire due deadline timers up to ``vt``, in ``(vt, seq)`` order."""
         out = []
-        shard = self.shard
         for ev in self.loop.due(vt):
-            tenant, epoch = ev.payload
-            acc = shard.tenants[tenant].accumulator
-            if acc.epoch != epoch or len(acc) == 0:
+            if not self._timer_live(ev):
                 continue   # already flushed by a size watermark
-            result = shard.flush_tenant(tenant, self.loop.now)
+            result = self.shard.flush_tenant(ev.payload[0], self.loop.now)
             if result is not None:
                 out.append(("flush", result))
         return out
@@ -250,6 +258,12 @@ class Router:
     frame to a worker and records its replies, and :meth:`worker_stats`
     returns each worker's :meth:`ShardWorker.stats`.  Workers expose
     ``add_tenant(spec)``.
+
+    Every routed flush lands in :attr:`results`, a columnar
+    :class:`~repro.serve.flushlog.FlushLog`; the calls that route
+    flushes (``advance_to``, ``drain``) also return the result objects
+    they routed, so a caller that consumes each flush once never
+    rebuilds one from the log.
     """
 
     def __init__(self, workers: list, batching: BatchPolicy) -> None:
@@ -259,13 +273,30 @@ class Router:
         self._spans: dict[str, list[str]] = {}
         self._next_seq = 0
         self._now = 0.0
-        self.results: list[FlushResult] = []
+        self.results = FlushLog()
+        #: the results routed during the current public call, if any
+        self._routed: list[FlushResult] | None = None
 
     def _send(self, w, kind: str, payload=None) -> None:
         raise NotImplementedError
 
     def worker_stats(self) -> list[dict]:
         raise NotImplementedError
+
+    def _route_flush(self, result: FlushResult) -> None:
+        """Log one flush result and hand it to the running call."""
+        self.results.append(result)
+        if self._routed is not None:
+            self._routed.append(result)
+
+    @contextmanager
+    def _collecting(self):
+        """Collect the flush results routed inside the block."""
+        self._routed = routed = []
+        try:
+            yield routed
+        finally:
+            self._routed = None
 
     # -- tenants ------------------------------------------------------------------
 
@@ -373,10 +404,7 @@ class Router:
     @property
     def latencies_vt(self) -> np.ndarray:
         """Per-request virtual latencies across every flush, flush order."""
-        lats: list[float] = []
-        for r in self.results:
-            lats.extend(r.latencies_vt)
-        return np.asarray(lats, dtype=float)
+        return self.results.latencies_vt()
 
     @property
     def shed_counts(self) -> dict[str, int]:
@@ -411,8 +439,7 @@ class Router:
             "shed_overloaded": shed["overloaded"],
             "shed_migrating": shed["migrating"],
             "flushes": len(self.results),
-            "matched": int(sum(r.outcome.matched_count
-                               for r in self.results)),
+            "matched": self.results.matched_count(),
             "retunes": sum(len(t["retunes"]) for t in tenants.values()),
             "latency_p50_vt": p50_us / 1e6 if p50_us is not None else None,
             "latency_p99_vt": p99_us / 1e6 if p99_us is not None else None,
@@ -483,7 +510,7 @@ class MatchingService(Router):
     def _send(self, w: ShardWorker, kind: str, payload=None) -> None:
         for reply, body in w.handle(kind, payload):
             if reply == "flush":
-                self.results.append(body)
+                self._route_flush(body)
             elif reply == "ticket":
                 self.tickets.append(body)
 
@@ -508,15 +535,16 @@ class MatchingService(Router):
 
     def advance_to(self, vt: float) -> list[FlushResult]:
         """Fire due deadline timers up to ``vt``; returns their flushes."""
-        start = len(self.results)
-        self._advance(vt)
-        return self.results[start:]
+        with self._collecting() as routed:
+            self._advance(vt)
+        return routed
 
     def drain(self) -> list[FlushResult]:
-        """Flush every pending accumulator at the current virtual time."""
-        start = len(self.results)
-        self._drain()
-        return self.results[start:]
+        """Flush every pending accumulator at the current virtual time;
+        returns the flushes."""
+        with self._collecting() as routed:
+            self._drain()
+        return routed
 
     def deliver(self, tenant: str, messages: EnvelopeBatch,
                 requests: EnvelopeBatch, at_vt: float, seq: int) -> None:

@@ -12,6 +12,7 @@ from repro.obs import Observability
 from repro.serve import (AdmissionPolicy, BatchPolicy, MatchingService,
                          TenantSpec, demo)
 from tests.conftest import permuted_pair
+from tests.serve.test_flush_pins import fabric_plane
 
 
 def _batch_pair(rng, n: int = 16):
@@ -72,6 +73,16 @@ class TestLifecycle:
         assert len(svc.results) == 1
         svc.advance_to(1.0)                       # stale timer fires: no-op
         assert len(svc.results) == 1
+
+    def test_drain_retires_dead_deadline_timers(self):
+        """A fabric superstep drains every accumulator, so no timer it
+        armed can fire again: the workers' heaps keep only live timers
+        (none), however many supersteps ran."""
+        svc = fabric_plane(0)
+        assert len(svc.results) > 30
+        for w in svc._workers:
+            assert all(w._timer_live(ev) for ev in w.loop._heap)
+            assert len(w.loop) == 0
 
 
 class TestShedding:
