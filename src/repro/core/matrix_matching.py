@@ -22,28 +22,29 @@ the scan warps fill the next.  The pipelining collapses at 1024 messages
 
 Two interchangeable implementations are provided:
 
-* :meth:`MatrixMatcher.match` -- array-native fast path: the scan builds
-  its vote matrix per message block (peak memory O(block x open columns),
-  never the full dense matrix), and the reduce resolves whole batches of
-  columns per NumPy step, falling back to a scalar pick only inside a
-  conflicting group (two columns bidding on the same warp-word).  Costs
-  are charged analytically with *batched* ``add`` calls whose totals are
-  bit-identical to the per-column charging they replace.  Used by
-  benchmarks.
+* :meth:`MatrixMatcher.match` -- array-native fast path, split into
+  *matching* and *pricing*.  :func:`match_blocks` scans one message block
+  at a time (peak memory O(block x open columns), never the full dense
+  matrix) and resolves whole batches of reduce columns per NumPy step,
+  falling back to a scalar pick only inside a conflicting group (two
+  columns bidding on the same warp-word).  :func:`charge_matrix` then
+  prices the execution from the request->message vector alone: what the
+  reduce walks in each block -- the columns it visits and the messages
+  it matches -- follows from where every request matched.  The
+  rank-partitioned matcher calls both per queue.  Used by benchmarks.
 * :meth:`MatrixMatcher.match_pedantic` -- executes Algorithms 1 and 2
   verbatim on the :class:`~repro.simt.cta.CTA` / :class:`~repro.simt.warp.Warp`
   simulator, one warp instruction at a time.  Used by tests to validate
   the fast path (identical assignments).
 
-The pre-batching scalar reduce is retained as ``reduce_impl="scalar"``
-and is asserted bit-identical (match vector and per-op ledger totals) to
-the batched reduce by ``tests/core/test_fastpath_equivalence.py``.
+``tests/core/test_fastpath_equivalence.py`` holds the per-column scalar
+reduce, with its per-column charging, as the reference the fast path is
+asserted bit-identical to (match vector and per-op ledger totals).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,16 +67,6 @@ DEFAULT_WINDOW = 64
 #: Columns the batched reduce resolves per vectorized step.  Purely a
 #: host-side knob: any value produces the same matches and ledger.
 REDUCE_BATCH = 256
-
-
-@dataclass
-class _PhasePlan:
-    """Per-iteration bookkeeping shared by cost accounting and tests."""
-
-    n_block_msgs: int
-    n_warps: int
-    n_columns: int
-    n_chunks: int
 
 
 class MatrixMatcher:
@@ -107,11 +98,6 @@ class MatrixMatcher:
         for short queues (Section VII-C): narrow warps waste fewer lanes
         on queues shorter than 32 and let more matrix rows pack into the
         same thread budget.
-    reduce_impl:
-        ``"batched"`` (default) resolves whole batches of reduce columns
-        per NumPy step; ``"scalar"`` is the pre-batching per-column loop,
-        kept as the bit-identical reference for equivalence tests.  Both
-        produce the same matches and the same ledger totals.
     obs:
         Optional :class:`~repro.obs.Observability` handle.  When absent
         (default) the hot path takes a single ``is None`` branch and the
@@ -132,34 +118,21 @@ class MatrixMatcher:
                  compaction: bool = False,
                  warp_size: int = WARP_SIZE,
                  compaction_policy: str = "always",
-                 reduce_impl: str = "batched",
                  obs=None, sanitize=None) -> None:
         if compaction_policy not in ("always", "adaptive"):
             raise ValueError("compaction_policy must be 'always' or "
                              "'adaptive'")
-        if reduce_impl not in ("batched", "scalar"):
-            raise ValueError("reduce_impl must be 'batched' or 'scalar'")
         if not 1 <= warps_per_cta <= MAX_WARPS_PER_CTA:
             raise ValueError("warps_per_cta must be in [1, 32]")
-        if window < 1:
-            raise ValueError("window must be positive")
         if not 1 <= warp_size <= WARP_SIZE:
             raise ValueError(f"warp_size must be in [1, {WARP_SIZE}]")
-        # double-buffered vote matrix must fit the CTA's shared memory:
-        # 2 buffers x warps x window x 4-byte vote words
-        smem_needed = 2 * warps_per_cta * window * SMEM_WORD_BYTES
-        if smem_needed > spec.shared_mem_per_cta:
-            raise ValueError(
-                f"window {window} needs {smem_needed} B of shared memory "
-                f"for the double-buffered vote matrix; {spec.name} allows "
-                f"{spec.shared_mem_per_cta} B per CTA")
+        check_window(spec, warps_per_cta, window)
         self.spec = spec
         self.warps_per_cta = warps_per_cta
         self.window = window
         self.compaction = compaction
         self.compaction_policy = compaction_policy
         self.warp_size = warp_size
-        self.reduce_impl = reduce_impl
         self._obs = obs
         self._san = sanitize if sanitize is not None else spec.sanitize
 
@@ -182,56 +155,21 @@ class MatrixMatcher:
                 ledger: CostLedger) -> tuple[np.ndarray, int]:
         """Fast-path matching, charging costs into a caller-owned ledger.
 
-        Used directly by :class:`~repro.core.partitioned.PartitionedMatcher`,
-        which prices several queue ledgers jointly.  Returns the
-        request->message vector and the iteration (message block) count.
+        Returns the request->message vector and the iteration (message
+        block) count.
         """
         messages.assert_concrete("message queue")
-        n_msg, n_req = len(messages), len(requests)
-        out = np.full(n_req, NO_MATCH, dtype=np.int64)
-        if n_msg == 0 or n_req == 0:
-            return out, 0
-
         block = self.messages_per_iteration
-        n_blocks = math.ceil(n_msg / block)
-        unmatched_cols = np.ones(n_req, dtype=bool)
-        reduce = (self._reduce_block if self.reduce_impl == "batched"
-                  else self._reduce_block_scalar)
-
-        for b in range(n_blocks):
-            lo, hi = b * block, min((b + 1) * block, n_msg)
-            open_idx = np.nonzero(unmatched_cols)[0]
-            open_cols = int(open_idx.size)
-            plan = self._plan(hi - lo, open_cols)
-            # Blockwise scan: only this block's rows and only the still
-            # open columns are materialized, so peak memory is
-            # O(block x open columns), never O(n_msg x n_req).
-            block_mtx = messages.match_block(requests[open_idx], lo, hi)
-            # Pack votes: one int per (warp, open column).
-            votes = _pack_block_votes(block_mtx, plan.n_warps,
-                                      self.warp_size)
-            if self._obs is not None:
-                self._obs.count("matrix.blocks")
-                if block_mtx.size:
-                    self._obs.observe(
-                        "matrix.vote_occupancy",
-                        float(np.count_nonzero(block_mtx)) / block_mtx.size)
-            visited = reduce(votes, open_idx, unmatched_cols, out, lo,
-                             ledger, plan)
-            if self._obs is not None:
-                self._obs.count("matrix.columns_visited", float(visited))
-            # The scan pipeline only fills the windows the reduce actually
-            # consumed: once every message of the block is matched the
-            # remaining columns are skipped (this is why an in-order
-            # receive queue is cheap beyond 1024 entries and a reversed
-            # one is not -- Section V-B).
-            scanned = min(open_cols,
-                          math.ceil(visited / self.window) * self.window)
-            self._charge_scan(ledger, self._plan(hi - lo, scanned))
-            if not unmatched_cols.any():
-                break
-        if self.compaction and self._should_compact(out, n_req):
-            self._charge_compaction(ledger, n_msg, n_req)
+        out = match_blocks(messages, requests, block, self.warp_size,
+                           self._obs)
+        n_blocks, visited = charge_matrix(ledger, out, len(messages), block,
+                                          self.warp_size, self.window)
+        if n_blocks == 0:
+            return out, 0
+        if self._obs is not None:
+            self._obs.count("matrix.columns_visited", float(visited))
+        if self.compaction and self._should_compact(out, len(requests)):
+            self._charge_compaction(ledger, len(messages), len(requests))
         return out, n_blocks
 
     #: Minimum matched fraction below which adaptive compaction tolerates
@@ -243,196 +181,6 @@ class MatrixMatcher:
             return True
         matched = int(np.count_nonzero(out != NO_MATCH))
         return matched >= self.COMPACTION_MIN_FRACTION * max(1, n_req)
-
-    # -- fast-path internals -----------------------------------------------------
-
-    def _plan(self, n_block_msgs: int, n_open_columns: int) -> _PhasePlan:
-        n_warps = math.ceil(n_block_msgs / self.warp_size)
-        n_chunks = math.ceil(n_open_columns / self.window) if n_open_columns else 0
-        return _PhasePlan(n_block_msgs=n_block_msgs, n_warps=n_warps,
-                          n_columns=n_open_columns, n_chunks=n_chunks)
-
-    def _reduce_block(self, votes: np.ndarray, open_idx: np.ndarray,
-                      unmatched_cols: np.ndarray, out: np.ndarray,
-                      msg_base: int, ledger: CostLedger,
-                      plan: _PhasePlan) -> int:
-        """Batched sequential column reduce.
-
-        Functionally identical to :meth:`_reduce_block_scalar` (the modeled
-        GPU still walks columns one by one; only the *host* resolves them
-        in batches): each column, in posted order, matches the
-        lowest-numbered still-unconsumed message among its candidates.
-        Columns of a batch are independent unless two of them bid on the
-        same warp-word bit, so a batch commits the conflict-free prefix of
-        its picks in one vectorized step and falls back to a scalar pick
-        only for the first column of a conflicting group.  Costs are
-        charged with batched ``add`` calls whose totals equal the
-        per-column charging bit for bit (integer counts are exact in
-        float64).  Returns the number of columns visited before the
-        block's messages were exhausted (early exit).
-        """
-        n_warps = votes.shape[0]
-        block_msgs = plan.n_block_msgs
-        mask = np.full(n_warps, (1 << self.warp_size) - 1, dtype=np.int64)
-        reduce_phase = ledger.phase("reduce", active_warps=1,
-                                    overlap_group=self._overlap_group(plan))
-        n_open = int(open_idx.size)
-        visited = 0
-        matched = 0
-        pos = 0
-        while pos < n_open and matched < block_msgs:
-            end = min(pos + REDUCE_BATCH, n_open)
-            b = end - pos
-            masked = votes[:, pos:end] & mask[:, None]
-            has = masked.any(axis=0)
-            if not has.any():
-                visited += b
-                pos = end
-                continue
-            # Per-column pick under the batch-entry mask: first warp with
-            # a candidate (ffs over the lane ballot), then the lowest set
-            # bit of its vote word (ffs within the word) -- i.e. the
-            # minimum message id among the column's candidates.
-            first_warp = np.argmax(masked != 0, axis=0)
-            word = masked[first_warp, np.arange(b)]
-            lane = np.zeros(b, dtype=np.int64)
-            low = word[has] & -word[has]
-            # exact: low is a power of two <= 2**31
-            lane[has] = np.log2(low.astype(np.float64)).astype(np.int64)
-            pick = np.where(has, first_warp * self.warp_size + lane, -1)
-            # A pick is wrong only if an *earlier* column of the batch
-            # consumed the same message: find the first duplicated pick.
-            # (If an earlier column consumed a non-minimum candidate of a
-            # later column, the later column's minimum -- its pick -- is
-            # untouched, so distinct picks are exactly the sequential
-            # result.)
-            order = np.argsort(pick, kind="stable")
-            sorted_pick = pick[order]
-            dup_sorted = np.zeros(b, dtype=bool)
-            dup_sorted[1:] = ((sorted_pick[1:] == sorted_pick[:-1])
-                              & (sorted_pick[1:] >= 0))
-            is_dup = np.zeros(b, dtype=bool)
-            is_dup[order] = dup_sorted
-            take = int(np.argmax(is_dup)) if is_dup.any() else b
-            # Early exit: stop at the column that consumes the block's
-            # last message, exactly like the scalar loop.
-            cum = np.cumsum(has[:take])
-            exhausted = cum.size > 0 and matched + int(cum[-1]) >= block_msgs
-            if exhausted:
-                take = int(np.argmax(matched + cum >= block_msgs)) + 1
-            sel = np.nonzero(has[:take])[0]
-            if sel.size:
-                picks = pick[sel]
-                cols = open_idx[pos + sel]
-                out[cols] = msg_base + picks
-                unmatched_cols[cols] = False
-                consumed = np.zeros(n_warps, dtype=np.int64)
-                np.bitwise_or.at(consumed, picks // self.warp_size,
-                                 np.int64(1) << (picks % self.warp_size))
-                mask &= ~consumed
-                matched += int(sel.size)
-            visited += take
-            pos += take
-            if matched >= block_msgs:
-                break
-            if take < b and not exhausted:
-                # Scalar fallback for the first column of the conflicting
-                # group; the rest of the batch re-bids under the updated
-                # mask on the next pass.
-                col_word = votes[:, pos] & mask
-                bidders = np.nonzero(col_word)[0]
-                if bidders.size:
-                    w = int(bidders[0])
-                    lane_match = ffs32(int(col_word[w])) - 1
-                    j = open_idx[pos]
-                    out[j] = msg_base + w * self.warp_size + lane_match
-                    mask[w] &= ~(1 << lane_match)
-                    unmatched_cols[j] = False
-                    matched += 1
-                visited += 1
-                pos += 1
-        # Batched cost accounting: one add per op kind per block.  The
-        # totals are identical to charging per column (smem_load, ballot,
-        # 4 alu, branch per visited column; 3 alu, smem_store per match).
-        reduce_phase.add("smem_load", float(visited))
-        reduce_phase.add("ballot", float(visited))
-        reduce_phase.add("alu", 4.0 * visited + 3.0 * matched)
-        reduce_phase.add("branch", float(visited))
-        if matched:
-            reduce_phase.add("smem_store", float(matched))
-        # Results stage in shared memory and flush coalesced per window
-        # chunk, so per-column cost barely depends on whether it matched
-        # ("performance decreases linearly with the number of matched
-        # messages": rate ~ matches, time ~ columns).
-        reduce_phase.add("gmem_store",
-                         2.0 * math.ceil(max(1, visited) / self.window))
-        return visited
-
-    def _reduce_block_scalar(self, votes: np.ndarray, open_idx: np.ndarray,
-                             unmatched_cols: np.ndarray, out: np.ndarray,
-                             msg_base: int, ledger: CostLedger,
-                             plan: _PhasePlan) -> int:
-        """Pre-batching per-column reduce, kept as the reference
-        implementation for the equivalence suite.  Returns the number of
-        columns visited before the block's messages were exhausted."""
-        n_warps = votes.shape[0]
-        block_msgs = plan.n_block_msgs
-        mask = np.full(n_warps, (1 << self.warp_size) - 1, dtype=np.int64)
-        reduce_phase = ledger.phase("reduce", active_warps=1,
-                                    overlap_group=self._overlap_group(plan))
-        visited = 0
-        matched_in_block = 0
-        for c in range(open_idx.size):
-            visited += 1
-            # lane loads, masked vote, ballot over lanes with candidates
-            masked = votes[:, c] & mask
-            reduce_phase.add("smem_load", 1)
-            reduce_phase.add("ballot", 1)
-            reduce_phase.add("alu", 4)
-            reduce_phase.add("branch", 1)
-            bidders = np.nonzero(masked)[0]
-            if bidders.size:
-                w = int(bidders[0])              # ffs over the lane ballot
-                lane = ffs32(int(masked[w])) - 1  # ffs within the vote word
-                j = open_idx[c]
-                out[j] = msg_base + w * self.warp_size + lane
-                mask[w] &= ~(1 << lane)
-                unmatched_cols[j] = False
-                reduce_phase.add("alu", 3)
-                reduce_phase.add("smem_store", 1)
-                matched_in_block += 1
-                if matched_in_block == block_msgs:
-                    break  # every message of this block is consumed
-        reduce_phase.add("gmem_store",
-                         2.0 * math.ceil(max(1, visited) / self.window))
-        return visited
-
-    def _overlap_group(self, plan: _PhasePlan) -> str | None:
-        """Scan/reduce pipelining: possible only while spare warps exist.
-
-        With all 32 warps scanning (1024-message iterations) the reduce
-        cannot be overlapped any more -- the Figure 4 knee.
-        """
-        return "pipeline" if plan.n_warps < MAX_WARPS_PER_CTA else None
-
-    def _charge_scan(self, ledger: CostLedger, plan: _PhasePlan) -> None:
-        """Analytic cost of Algorithm 1 for one message block.
-
-        Per warp: one coalesced 64-bit load of its 32 message envelopes
-        (2 x 128 B transactions), then per scanned column a broadcast
-        request load (staged through shared memory by the prefetcher), a
-        64-bit compare, the ballot, and the vote-matrix store.
-        """
-        scan = ledger.phase("scan", active_warps=max(1, plan.n_warps),
-                            overlap_group=self._overlap_group(plan))
-        w, c = plan.n_warps, plan.n_columns
-        scan.add("gmem_load", 2 * w)
-        scan.add("smem_load", float(w * c))
-        scan.add("alu", float(w * c))
-        scan.add("ballot", float(w * c))
-        scan.add("smem_store", float(w * c))
-        # Pipeline handoff barrier per window chunk.
-        scan.add("sync", float(plan.n_chunks))
 
     def _charge_compaction(self, ledger: CostLedger, n_msg: int,
                            n_req: int) -> None:
@@ -502,8 +250,7 @@ class MatrixMatcher:
                       shared_words=n_warps * self.window, ledger=ledger,
                       cta_id=b, sanitize=san)
             cols = np.nonzero(unmatched)[0]
-            plan = self._plan(n_block, cols.size)
-            group = self._overlap_group(plan)
+            group = _overlap_group(n_warps)
             # Per-lane message masks persist across window chunks: a message
             # matched in an earlier chunk must stay consumed for the rest of
             # the block (Algorithm 2 keeps the mask in registers).
@@ -587,6 +334,209 @@ class MatrixMatcher:
         # coalesced flush of the chunk's staged results
         warp._issue("gmem_store", 2)
         return False
+
+
+def match_blocks(messages: EnvelopeBatch, requests: EnvelopeBatch,
+                 block: int, warp_size: int, obs=None) -> np.ndarray:
+    """Blockwise scan plus batched reduce: the request->message vector.
+
+    Each ``block`` of messages is scanned against the still-open request
+    columns only, so peak memory is O(block x open columns), never
+    O(n_msg x n_req).  Pricing is separate: see :func:`charge_matrix`.
+    """
+    n_msg, n_req = len(messages), len(requests)
+    out = np.full(n_req, NO_MATCH, dtype=np.int64)
+    if n_msg == 0 or n_req == 0:
+        return out
+    unmatched_cols = np.ones(n_req, dtype=bool)
+    for lo in range(0, n_msg, block):
+        hi = min(lo + block, n_msg)
+        open_idx = np.nonzero(unmatched_cols)[0]
+        block_mtx = messages.match_block(requests[open_idx], lo, hi)
+        votes = _pack_block_votes(block_mtx, math.ceil((hi - lo) / warp_size),
+                                  warp_size)
+        if obs is not None:
+            obs.count("matrix.blocks")
+            if block_mtx.size:
+                obs.observe("matrix.vote_occupancy",
+                            float(np.count_nonzero(block_mtx)) / block_mtx.size)
+        _reduce_block(votes, open_idx, unmatched_cols, out, lo, hi - lo,
+                      warp_size)
+        if not unmatched_cols.any():
+            break
+    return out
+
+
+def _reduce_block(votes: np.ndarray, open_idx: np.ndarray,
+                  unmatched_cols: np.ndarray, out: np.ndarray, msg_base: int,
+                  block_msgs: int, warp_size: int) -> None:
+    """Batched sequential column reduce of one message block.
+
+    The modeled GPU walks columns one by one; only the *host* resolves
+    them in batches: each column, in posted order, matches the
+    lowest-numbered still-unconsumed message among its candidates.
+    Columns of a batch are independent unless two of them bid on the
+    same warp-word bit, so a batch commits the conflict-free prefix of
+    its picks in one vectorized step and falls back to a scalar pick only
+    for the first column of a conflicting group.  The loop stops once the
+    block's messages are all consumed: no later column can match.
+    """
+    n_warps = votes.shape[0]
+    mask = np.full(n_warps, (1 << warp_size) - 1, dtype=np.int64)
+    n_open = int(open_idx.size)
+    matched = 0
+    pos = 0
+    while pos < n_open and matched < block_msgs:
+        end = min(pos + REDUCE_BATCH, n_open)
+        b = end - pos
+        masked = votes[:, pos:end] & mask[:, None]
+        has = masked.any(axis=0)
+        if not has.any():
+            pos = end
+            continue
+        # Per-column pick under the batch-entry mask: first warp with a
+        # candidate (ffs over the lane ballot), then the lowest set bit of
+        # its vote word (ffs within the word) -- i.e. the minimum message
+        # id among the column's candidates.
+        first_warp = np.argmax(masked != 0, axis=0)
+        word = masked[first_warp, np.arange(b)]
+        lane = np.zeros(b, dtype=np.int64)
+        low = word[has] & -word[has]
+        # exact: low is a power of two <= 2**31
+        lane[has] = np.log2(low.astype(np.float64)).astype(np.int64)
+        pick = np.where(has, first_warp * warp_size + lane, -1)
+        # A pick is wrong only if an *earlier* column of the batch consumed
+        # the same message: find the first duplicated pick.  (If an earlier
+        # column consumed a non-minimum candidate of a later column, the
+        # later column's minimum -- its pick -- is untouched, so distinct
+        # picks are exactly the sequential result.)
+        order = np.argsort(pick, kind="stable")
+        sorted_pick = pick[order]
+        dup_sorted = np.zeros(b, dtype=bool)
+        dup_sorted[1:] = ((sorted_pick[1:] == sorted_pick[:-1])
+                          & (sorted_pick[1:] >= 0))
+        is_dup = np.zeros(b, dtype=bool)
+        is_dup[order] = dup_sorted
+        take = int(np.argmax(is_dup)) if is_dup.any() else b
+        sel = np.nonzero(has[:take])[0]
+        if sel.size:
+            picks = pick[sel]
+            cols = open_idx[pos + sel]
+            out[cols] = msg_base + picks
+            unmatched_cols[cols] = False
+            consumed = np.zeros(n_warps, dtype=np.int64)
+            np.bitwise_or.at(consumed, picks // warp_size,
+                             np.int64(1) << (picks % warp_size))
+            mask &= ~consumed
+            matched += int(sel.size)
+        pos += take
+        if take < b:
+            # Scalar pick for the first column of the conflicting group;
+            # the rest of the batch re-bids under the updated mask on the
+            # next pass.
+            col_word = votes[:, pos] & mask
+            bidders = np.nonzero(col_word)[0]
+            if bidders.size:
+                w = int(bidders[0])
+                lane_match = ffs32(int(col_word[w])) - 1
+                j = open_idx[pos]
+                out[j] = msg_base + w * warp_size + lane_match
+                mask[w] &= ~(1 << lane_match)
+                unmatched_cols[j] = False
+                matched += 1
+            pos += 1
+
+
+def charge_matrix(ledger: CostLedger, out: np.ndarray, n_msg: int,
+                  block: int, warp_size: int,
+                  window: int) -> tuple[int, int]:
+    """Price a matrix match from its request->message vector ``out``.
+
+    For message block ``b`` the reduce walks the *open* columns -- the
+    requests whose match lies in a block >= ``b``, or that have none --
+    in posted order.  ``matched`` counts the matches landing in block
+    ``b``.  Once they consume every message of the block the reduce
+    exits early, so ``visited`` is the position among the open columns
+    of the last of those matches, plus 1; otherwise it is the open count.
+    The scan fills only the windows the reduce consumed, which is why an
+    in-order receive queue is cheap beyond 1024 entries and a reversed
+    one is not (Section V-B).  Blocks stop after the one that leaves no
+    column open.  Returns the block count (``0`` for an empty side) and
+    the columns visited over all blocks.
+    """
+    n_req = out.size
+    if n_msg == 0 or n_req == 0:
+        return 0, 0
+    n_blocks = math.ceil(n_msg / block)
+    # block each request matched in; unmatched requests stay open throughout
+    match_block = np.where(out == NO_MATCH, n_blocks, out // block)
+    matched_per_block = np.bincount(match_block, minlength=n_blocks).tolist()
+    n_open = n_req
+    total_visited = 0
+    for b in range(n_blocks):
+        if n_open == 0:
+            break
+        matched = matched_per_block[b]
+        n_block_msgs = min(block, n_msg - b * block)
+        if matched == n_block_msgs:
+            last = int(np.nonzero(match_block == b)[0][-1])
+            visited = int(np.count_nonzero(match_block[:last + 1] >= b))
+        else:
+            visited = n_open
+        total_visited += visited
+        n_warps = math.ceil(n_block_msgs / warp_size)
+        group = _overlap_group(n_warps)
+        # Reduce (Algorithm 2), per visited column: smem_load, ballot,
+        # 4 alu, branch; per match: 3 alu, smem_store.  Results stage in
+        # shared memory and flush coalesced per window chunk, so the cost
+        # per column barely depends on whether it matched ("performance
+        # decreases linearly with the number of matched messages").
+        reduce = ledger.phase("reduce", active_warps=1, overlap_group=group)
+        reduce.add("smem_load", float(visited))
+        reduce.add("ballot", float(visited))
+        reduce.add("alu", 4.0 * visited + 3.0 * matched)
+        reduce.add("branch", float(visited))
+        if matched:
+            reduce.add("smem_store", float(matched))
+        reduce.add("gmem_store", 2.0 * math.ceil(visited / window))
+        # Scan (Algorithm 1), per warp: one coalesced 64-bit load of its
+        # envelopes (2 x 128 B transactions), then per scanned column a
+        # broadcast request load, a 64-bit compare, the ballot and the
+        # vote-matrix store; one pipeline handoff barrier per window.
+        scanned = min(n_open, math.ceil(visited / window) * window)
+        cells = float(n_warps * scanned)
+        scan = ledger.phase("scan", active_warps=max(1, n_warps),
+                            overlap_group=group)
+        scan.add("gmem_load", 2 * n_warps)
+        scan.add("smem_load", cells)
+        scan.add("alu", cells)
+        scan.add("ballot", cells)
+        scan.add("smem_store", cells)
+        scan.add("sync", float(math.ceil(scanned / window)))
+        n_open -= matched
+    return n_blocks, total_visited
+
+
+def _overlap_group(n_warps: int) -> str | None:
+    """Scan/reduce pipelining: possible only while spare warps exist.
+
+    With all 32 warps scanning (1024-message iterations) the reduce
+    cannot be overlapped any more -- the Figure 4 knee.
+    """
+    return "pipeline" if n_warps < MAX_WARPS_PER_CTA else None
+
+
+def check_window(spec: GPUSpec, warps_per_cta: int, window: int) -> None:
+    """Reject a scan window whose double-buffered vote matrix (2 buffers
+    x warps x window x 4-byte vote words) overflows shared memory."""
+    if window < 1:
+        raise ValueError("window must be positive")
+    smem_needed = 2 * warps_per_cta * window * SMEM_WORD_BYTES
+    if smem_needed > spec.shared_mem_per_cta:
+        raise ValueError(
+            f"window {window} needs {smem_needed} B of shared memory "
+            f"for the double-buffered vote matrix; {spec.name} allows "
+            f"{spec.shared_mem_per_cta} B per CTA")
 
 
 def _pack_block_votes(block_matrix: np.ndarray, n_warps: int,

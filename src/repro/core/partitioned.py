@@ -22,6 +22,12 @@ Ordering correctness: messages of one (source, communicator) always land
 in the same queue, and within a queue the matrix matcher preserves queue
 order, so MPI's non-overtaking guarantee still holds — only
 ``MPI_ANY_SOURCE`` is lost.  Tag wildcards remain legal.
+
+One stable sort by queue id turns every queue into a contiguous slice of
+the messages and of the requests.  Each queue is matched by
+:func:`~repro.core.matrix_matching.match_blocks` at its own block size
+and priced by :func:`~repro.core.matrix_matching.charge_matrix` from its
+match vector; the launch then combines the per-queue cycle totals.
 """
 
 from __future__ import annotations
@@ -36,7 +42,8 @@ from ..simt.occupancy import KernelResources, occupancy
 from ..simt.timing import CostLedger, SYNC_OVERHEAD_CYCLES, TimingModel
 from ..simt.warp import WARP_SIZE
 from .envelope import ANY_SOURCE, EnvelopeBatch
-from .matrix_matching import DEFAULT_WINDOW, MatrixMatcher
+from .matrix_matching import (DEFAULT_WINDOW, charge_matrix, check_window,
+                              match_blocks)
 from .result import NO_MATCH, MatchOutcome
 
 __all__ = ["PartitionedMatcher", "COORDINATION_OVERHEAD_CYCLES"]
@@ -59,13 +66,14 @@ class PartitionedMatcher:
     n_queues:
         Number of partitions (Figure 5 sweeps 1..32).
     window:
-        Scan window forwarded to the per-queue matrix matcher.
+        Scan window of every queue's matrix match; its double-buffered
+        vote matrix must fit a full CTA's shared memory.
     compaction:
         Per-queue compaction pass (skippable under "no unexpected
         messages").
     warp_size:
-        Lanes per (sub-)warp, forwarded to the per-queue matrix matchers
-        and used for thread provisioning.  The paper's Section VII-C
+        Lanes per (sub-)warp, for the per-queue matrix matches and for
+        thread provisioning.  The paper's Section VII-C
         variable-warp-size feature: with 32-lane warps a queue of 8
         entries still occupies a full warp's threads; narrow warps pack
         several small queues into the same physical resources, lowering
@@ -95,7 +103,6 @@ class PartitionedMatcher:
                  warp_size: int = WARP_SIZE,
                  partition_key: str = "src",
                  sm_count: int = 1,
-                 reduce_impl: str = "batched",
                  obs=None, sanitize=None) -> None:
         if n_queues < 1:
             raise ValueError("n_queues must be positive")
@@ -105,8 +112,9 @@ class PartitionedMatcher:
             raise ValueError("partition_key must be 'src' or 'tag'")
         if not 1 <= sm_count <= spec.sm_count:
             raise ValueError(f"sm_count must be in [1, {spec.sm_count}]")
-        if reduce_impl not in ("batched", "scalar"):
-            raise ValueError("reduce_impl must be 'batched' or 'scalar'")
+        check_window(spec, MAX_WARPS_PER_CTA, window)
+        # sanitize is accepted for knob parity with the other GPU matchers;
+        # the partitioned path is analytic and touches no simulated memory.
         self.spec = spec
         self.n_queues = n_queues
         self.window = window
@@ -114,9 +122,7 @@ class PartitionedMatcher:
         self.warp_size = warp_size
         self.partition_key = partition_key
         self.sm_count = sm_count
-        self.reduce_impl = reduce_impl
         self._obs = obs
-        self._san = sanitize if sanitize is not None else spec.sanitize
 
     # -- partitioning -------------------------------------------------------------
 
@@ -151,37 +157,41 @@ class PartitionedMatcher:
 
         msg_q = self.queue_of(self._key_values(messages))
         req_q = self.queue_of(self._key_values(requests))
+        msg_order = np.argsort(msg_q, kind="stable")
+        req_order = np.argsort(req_q, kind="stable")
+        queues = np.arange(self.n_queues + 1)
+        msg_bounds = np.searchsorted(msg_q[msg_order], queues).tolist()
+        req_bounds = np.searchsorted(req_q[req_order], queues).tolist()
+        msgs, reqs = messages[msg_order], requests[req_order]
         queue_cycles: list[float] = []
         queue_meta: dict[str, dict] = {}
         iterations = 0
         for q in range(self.n_queues):
-            m_idx = np.nonzero(msg_q == q)[0]
-            r_idx = np.nonzero(req_q == q)[0]
-            if m_idx.size == 0 and r_idx.size == 0:
+            m_lo, m_hi = msg_bounds[q], msg_bounds[q + 1]
+            r_lo, r_hi = req_bounds[q], req_bounds[q + 1]
+            n_m = m_hi - m_lo
+            if n_m == 0 and r_hi == r_lo:
                 continue
             if self._obs is not None:
-                self._obs.observe("partitioned.queue_depth",
-                                  float(m_idx.size))
+                self._obs.observe("partitioned.queue_depth", float(n_m))
             warps_q = min(MAX_WARPS_PER_CTA,
-                          max(1, math.ceil(m_idx.size / self.warp_size)))
-            ledger = CostLedger()
+                          max(1, math.ceil(n_m / self.warp_size)))
+            block = warps_q * self.warp_size
+            local = match_blocks(msgs[m_lo:m_hi], reqs[r_lo:r_hi], block,
+                                 self.warp_size)
+            hit = np.nonzero(local != NO_MATCH)[0]
+            out[req_order[r_lo + hit]] = msg_order[m_lo + local[hit]]
             # Compaction is charged once at full CTA width in _combine, not
             # per queue (a 1-warp queue compacting alone would be absurdly
             # latency-bound).
-            matcher = MatrixMatcher(
-                spec=self.spec, warps_per_cta=warps_q,
-                window=self.window, compaction=False,
-                warp_size=self.warp_size, reduce_impl=self.reduce_impl,
-                sanitize=self._san)
-            local, iters = matcher.execute(messages.take(m_idx),
-                                           requests.take(r_idx), ledger)
+            ledger = CostLedger()
+            iters, _ = charge_matrix(ledger, local, n_m, block,
+                                     self.warp_size, self.window)
             iterations = max(iterations, iters)
-            hit = local != NO_MATCH
-            out[r_idx[hit]] = m_idx[local[hit]]
             cycles = self._priced_queue_cycles(ledger, warps_q)
             queue_cycles.append(cycles)
             queue_meta[f"queue{q}"] = {
-                "messages": int(m_idx.size), "requests": int(r_idx.size),
+                "messages": n_m, "requests": r_hi - r_lo,
                 "warps": warps_q, "cycles": cycles}
         provisioned = sum(meta["warps"] * self.warp_size
                           for meta in queue_meta.values())
@@ -201,17 +211,11 @@ class PartitionedMatcher:
         applies to all warps"), so sync costs scale by the ratio of CTA
         warps to queue warps.
         """
-        cta_warps = min(MAX_WARPS_PER_CTA,
-                        max(warps_q, self._warps_per_cta_estimate()))
-        widen = cta_warps / max(1, warps_q)
+        widen = MAX_WARPS_PER_CTA / warps_q
         for phase in ledger.phases:
             if "sync" in phase.counts:
                 phase.counts["sync"] *= widen
         return TimingModel(self.spec).evaluate(ledger).cycles
-
-    def _warps_per_cta_estimate(self) -> int:
-        """Warps sharing a CTA when several small queues are packed together."""
-        return MAX_WARPS_PER_CTA
 
     def _combine(self, queue_cycles: list[float], provisioned_threads: int,
                  total_messages: int) -> tuple[float, float, dict]:

@@ -1,14 +1,19 @@
 """Equivalence suite: array-native fast paths vs their scalar references.
 
-The perf work in this PR (batched reduce, blockwise scan, precomputed
-hash slots, vectorized atomic CAS) is only admissible if it is
-*bit-identical* to what it replaced: same match vectors AND same
-CostLedger op totals, on every workload shape.  This suite pins that
-invariant down, plus the blockwise-scan memory bound.
+The fast paths (batched reduce, blockwise scan, matrix pricing from the
+match vector, one-sort queue partitioning, precomputed hash slots,
+vectorized atomic CAS) are only admissible if they are *bit-identical*
+to the scalar code they replaced: same match vectors AND same CostLedger
+op totals, on every workload shape.  The matrix references live here:
+the per-column reduce of Algorithm 2 with its per-column charging, the
+blockwise loop that charges each block's scan from the columns its
+reduce visited, and the per-queue partitioned loop over them.  This
+suite pins that invariant down, plus the blockwise-scan memory bound.
 """
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -20,9 +25,12 @@ from repro.core.envelope import ANY_SOURCE, ANY_TAG, EnvelopeBatch
 from repro.core.hash_matching import HashMatcher
 from repro.core.matrix_matching import MatrixMatcher
 from repro.core.partitioned import PartitionedMatcher
+from repro.core.result import NO_MATCH
 from repro.obs import Observability
+from repro.simt.cta import MAX_WARPS_PER_CTA
 from repro.simt.memory import GlobalMemory
-from repro.simt.timing import CostLedger
+from repro.simt.timing import CostLedger, TimingModel
+from repro.simt.warp import WARP_SIZE, ffs32
 
 
 def wildcard_workload(n, seed=0):
@@ -58,51 +66,200 @@ def ledger_signature(ledger: CostLedger) -> dict:
     return sig
 
 
-# -- batched reduce vs scalar reference ---------------------------------------
+# -- scalar references ----------------------------------------------------------
+
+
+def _reduce_block_scalar(votes, open_idx, unmatched_cols, out, msg_base,
+                         block_msgs, warp_size, window, reduce_phase) -> int:
+    """Algorithm 2 one column at a time, charged per column.  Returns the
+    number of columns visited before the block's messages were
+    exhausted."""
+    n_warps = votes.shape[0]
+    mask = np.full(n_warps, (1 << warp_size) - 1, dtype=np.int64)
+    visited = 0
+    matched_in_block = 0
+    for c in range(open_idx.size):
+        visited += 1
+        # lane loads, masked vote, ballot over lanes with candidates
+        masked = votes[:, c] & mask
+        reduce_phase.add("smem_load", 1)
+        reduce_phase.add("ballot", 1)
+        reduce_phase.add("alu", 4)
+        reduce_phase.add("branch", 1)
+        bidders = np.nonzero(masked)[0]
+        if bidders.size:
+            w = int(bidders[0])              # ffs over the lane ballot
+            lane = ffs32(int(masked[w])) - 1  # ffs within the vote word
+            j = open_idx[c]
+            out[j] = msg_base + w * warp_size + lane
+            mask[w] &= ~(1 << lane)
+            unmatched_cols[j] = False
+            reduce_phase.add("alu", 3)
+            reduce_phase.add("smem_store", 1)
+            matched_in_block += 1
+            if matched_in_block == block_msgs:
+                break  # every message of this block is consumed
+    reduce_phase.add("gmem_store", 2.0 * math.ceil(max(1, visited) / window))
+    return visited
+
+
+def _vote_words(block_matrix, n_warps, warp_size):
+    """(block_msgs x columns) booleans -> one vote word per (warp, column)."""
+    n_block, n_cols = block_matrix.shape
+    padded = np.zeros((n_warps * warp_size, n_cols), dtype=np.int64)
+    padded[:n_block] = block_matrix
+    bits = np.int64(1) << np.arange(warp_size, dtype=np.int64)
+    return (padded.reshape(n_warps, warp_size, n_cols)
+            * bits[None, :, None]).sum(axis=1)
+
+
+def reference_execute(messages, requests, ledger,
+                      warps_per_cta=MAX_WARPS_PER_CTA, window=64,
+                      warp_size=WARP_SIZE):
+    """The blockwise matrix match over the scalar reduce: each block's
+    scan is charged for the windows its reduce consumed.  Returns the
+    request->message vector and the block count."""
+    n_msg, n_req = len(messages), len(requests)
+    out = np.full(n_req, NO_MATCH, dtype=np.int64)
+    if n_msg == 0 or n_req == 0:
+        return out, 0
+    block = warps_per_cta * warp_size
+    unmatched = np.ones(n_req, dtype=bool)
+    for lo in range(0, n_msg, block):
+        hi = min(lo + block, n_msg)
+        n_warps = math.ceil((hi - lo) / warp_size)
+        group = "pipeline" if n_warps < MAX_WARPS_PER_CTA else None
+        open_idx = np.nonzero(unmatched)[0]
+        votes = _vote_words(messages.match_block(requests[open_idx], lo, hi),
+                            n_warps, warp_size)
+        visited = _reduce_block_scalar(
+            votes, open_idx, unmatched, out, lo, hi - lo, warp_size, window,
+            ledger.phase("reduce", active_warps=1, overlap_group=group))
+        scanned = min(open_idx.size, math.ceil(visited / window) * window)
+        scan = ledger.phase("scan", active_warps=max(1, n_warps),
+                            overlap_group=group)
+        scan.add("gmem_load", 2 * n_warps)
+        for kind in ("smem_load", "alu", "ballot", "smem_store"):
+            scan.add(kind, float(n_warps * scanned))
+        scan.add("sync", float(math.ceil(scanned / window)))
+        if not unmatched.any():
+            break
+    return out, math.ceil(n_msg / block)
+
+
+def reference_partitioned(matcher, messages, requests):
+    """Per-queue reference for ``matcher.match``: select each queue with
+    ``np.nonzero``, match it with :func:`reference_execute`, widen its
+    barriers to the full CTA, and combine through the matcher's launch
+    model."""
+    key = matcher.partition_key
+    msg_q = getattr(messages, key) % matcher.n_queues
+    req_q = getattr(requests, key) % matcher.n_queues
+    out = np.full(len(requests), NO_MATCH, dtype=np.int64)
+    queue_cycles, meta, iterations = [], {}, 0
+    for q in range(matcher.n_queues):
+        m_idx = np.nonzero(msg_q == q)[0]
+        r_idx = np.nonzero(req_q == q)[0]
+        if m_idx.size == 0 and r_idx.size == 0:
+            continue
+        warps_q = min(MAX_WARPS_PER_CTA,
+                      max(1, math.ceil(m_idx.size / matcher.warp_size)))
+        ledger = CostLedger()
+        local, iters = reference_execute(
+            messages.take(m_idx), requests.take(r_idx), ledger, warps_q,
+            matcher.window, matcher.warp_size)
+        iterations = max(iterations, iters)
+        hit = local != NO_MATCH
+        out[r_idx[hit]] = m_idx[local[hit]]
+        for phase in ledger.phases:
+            if "sync" in phase.counts:
+                phase.counts["sync"] *= MAX_WARPS_PER_CTA / warps_q
+        cycles = TimingModel(matcher.spec).evaluate(ledger).cycles
+        queue_cycles.append(cycles)
+        meta[f"queue{q}"] = {"messages": int(m_idx.size),
+                             "requests": int(r_idx.size),
+                             "warps": warps_q, "cycles": cycles}
+    provisioned = sum(m["warps"] * matcher.warp_size for m in meta.values())
+    seconds, cycles, launch = matcher._combine(queue_cycles, provisioned,
+                                               len(messages))
+    meta.update(launch)
+    return matcher._outcome(out, len(messages), len(requests), seconds,
+                            cycles, max(1, iterations), meta)
+
+
+def assert_same_outcome(got, want):
+    assert np.array_equal(got.request_to_message, want.request_to_message)
+    assert (got.n_messages, got.n_requests, got.seconds, got.cycles,
+            got.iterations, got.replicas) == (
+        want.n_messages, want.n_requests, want.seconds, want.cycles,
+        want.iterations, want.replicas)
+    assert got.meta == want.meta
+
+
+def assert_matrix_equals_reference(msgs, reqs, **kw):
+    fast_ledger, ref_ledger = CostLedger(), CostLedger()
+    out_fast, it_fast = MatrixMatcher(**kw).execute(msgs, reqs, fast_ledger)
+    out_ref, it_ref = reference_execute(msgs, reqs, ref_ledger, **kw)
+    assert np.array_equal(out_fast, out_ref)
+    assert it_fast == it_ref
+    assert ledger_signature(fast_ledger) == ledger_signature(ref_ledger)
+
+
+# -- matrix fast path vs scalar reference ---------------------------------------
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("seed", SEEDS)
 def test_matrix_batched_equals_scalar(workload, n, seed):
-    msgs, reqs = WORKLOADS[workload](n, seed=seed)
-    fast_ledger, slow_ledger = CostLedger(), CostLedger()
-    fast = MatrixMatcher(reduce_impl="batched")
-    slow = MatrixMatcher(reduce_impl="scalar")
-    out_fast, it_fast = fast.execute(msgs, reqs, fast_ledger)
-    out_slow, it_slow = slow.execute(msgs, reqs, slow_ledger)
-    assert np.array_equal(out_fast, out_slow)
-    assert it_fast == it_slow
-    assert ledger_signature(fast_ledger) == ledger_signature(slow_ledger)
+    assert_matrix_equals_reference(*WORKLOADS[workload](n, seed=seed))
 
 
 @pytest.mark.parametrize("warps_per_cta,window", [(2, 8), (4, 16)])
 def test_matrix_batched_equals_scalar_small_blocks(warps_per_cta, window):
     """Non-default geometry: many tiny blocks exercise the early-exit and
     re-bid paths of the batched reduce."""
-    msgs, reqs = reversed_workload(700, seed=3)
-    fast_ledger, slow_ledger = CostLedger(), CostLedger()
-    kw = dict(warps_per_cta=warps_per_cta, window=window)
-    out_fast, _ = MatrixMatcher(reduce_impl="batched", **kw).execute(
-        msgs, reqs, fast_ledger)
-    out_slow, _ = MatrixMatcher(reduce_impl="scalar", **kw).execute(
-        msgs, reqs, slow_ledger)
-    assert np.array_equal(out_fast, out_slow)
-    assert ledger_signature(fast_ledger) == ledger_signature(slow_ledger)
+    assert_matrix_equals_reference(*reversed_workload(700, seed=3),
+                                   warps_per_cta=warps_per_cta, window=window)
 
 
 @pytest.mark.parametrize("warp_size", [4, 16])
 def test_matrix_batched_equals_scalar_narrow_warps(warp_size):
-    msgs, reqs = matching_workload(300, seed=2)
-    fast_ledger, slow_ledger = CostLedger(), CostLedger()
-    out_fast, _ = MatrixMatcher(warp_size=warp_size,
-                                reduce_impl="batched").execute(
-        msgs, reqs, fast_ledger)
-    out_slow, _ = MatrixMatcher(warp_size=warp_size,
-                                reduce_impl="scalar").execute(
-        msgs, reqs, slow_ledger)
-    assert np.array_equal(out_fast, out_slow)
-    assert ledger_signature(fast_ledger) == ledger_signature(slow_ledger)
+    assert_matrix_equals_reference(*matching_workload(300, seed=2),
+                                   warp_size=warp_size)
+
+
+def random_queues(rng, key, big):
+    """Messages and a shuffled, partly unmatched, partly wildcarded
+    request queue.  ``big`` sends half the messages to one partition-key
+    value, so a queue holds more than 1024 messages."""
+    n = int(rng.integers(2200, 3000)) if big else int(rng.integers(1, 700))
+    n_ranks, n_tags = int(rng.integers(1, 65)), int(rng.integers(1, 17))
+    src = rng.integers(0, n_ranks, size=n)
+    tag = rng.integers(0, n_tags, size=n)
+    if big:
+        (src if key == "src" else tag)[rng.random(n) < 0.5] = 0
+    msgs = EnvelopeBatch(src, tag, rng.integers(0, 2, size=n))
+    reqs = msgs.take(rng.permutation(n)[:int(rng.integers(1, n + 1))])
+    dead = rng.random(len(reqs)) < 0.2
+    wild = rng.random(len(reqs)) < 0.2
+    req_src = np.where(dead, n_ranks + 10_000, reqs.src)
+    req_tag = reqs.tag
+    if key == "src":
+        req_tag = np.where(wild, ANY_TAG, req_tag)
+    else:
+        req_src = np.where(wild, ANY_SOURCE, req_src)
+    return msgs, EnvelopeBatch(req_src, req_tag, reqs.comm)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_matrix_random_differential(seed):
+    rng = np.random.default_rng(1000 + seed)
+    kw = dict(warps_per_cta=int(rng.integers(1, MAX_WARPS_PER_CTA + 1)),
+              window=int(rng.integers(16, 65)),
+              warp_size=int(rng.integers(4, WARP_SIZE + 1)))
+    msgs, reqs = random_queues(rng, "src", big=seed % 3 == 0)
+    assert_matrix_equals_reference(msgs, reqs, **kw)
 
 
 # -- fast path vs pedantic simulator ------------------------------------------
@@ -120,20 +277,33 @@ def test_matrix_fast_matches_pedantic(workload, n):
     assert fast.matched_count == pedantic.matched_count
 
 
-# -- partitioned matcher rides the same reduce --------------------------------
+# -- partitioned matcher vs per-queue scalar reference ------------------------
 
 
 @pytest.mark.parametrize("workload", ["random", "ordered", "partial"])
 @pytest.mark.parametrize("n", [513, 1536])
 def test_partitioned_batched_equals_scalar(workload, n):
     msgs, reqs = WORKLOADS[workload](n, seed=0)
-    fast = PartitionedMatcher(n_queues=4, reduce_impl="batched").match(
-        msgs, reqs)
-    slow = PartitionedMatcher(n_queues=4, reduce_impl="scalar").match(
-        msgs, reqs)
-    assert np.array_equal(fast.request_to_message, slow.request_to_message)
-    assert fast.cycles == slow.cycles
-    assert fast.iterations == slow.iterations
+    matcher = PartitionedMatcher(n_queues=4)
+    assert_same_outcome(matcher.match(msgs, reqs),
+                        reference_partitioned(matcher, msgs, reqs))
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_partitioned_random_differential(seed):
+    rng = np.random.default_rng(seed)
+    key = ("src", "tag")[seed % 2]
+    big = seed % 3 == 0
+    matcher = PartitionedMatcher(
+        n_queues=int(rng.integers(1, 33)), partition_key=key,
+        window=int(rng.integers(16, 65)),
+        warp_size=int(rng.integers(4, WARP_SIZE + 1)),
+        compaction=bool(rng.integers(2)))
+    msgs, reqs = random_queues(rng, key, big)
+    if big:
+        assert np.bincount(getattr(msgs, key) % matcher.n_queues).max() > 1024
+    assert_same_outcome(matcher.match(msgs, reqs),
+                        reference_partitioned(matcher, msgs, reqs))
 
 
 # -- hash matcher: precomputed slots ------------------------------------------
@@ -327,7 +497,7 @@ def test_sanitize_attachment_preserves_pedantic_ledger():
     assert san.report.clean
 
 
-def test_blockwise_scan_memory_bound():
+def assert_blockwise_memory_bound(match, want_iterations):
     """Matching 10^5 messages must not materialize the dense
     n_msg x n_req matrix: peak extra memory is O(block x n_req)."""
     n_msg, n_req = 100_000, 4_096
@@ -337,14 +507,27 @@ def test_blockwise_scan_memory_bound():
     # request k targets message k*24 exactly (unique envelope per message)
     want = np.arange(n_req, dtype=np.int64) * 24
     reqs = msgs.take(want)
-    matcher = MatrixMatcher()
-    ledger = CostLedger()
     tracemalloc.start()
-    out, iterations = matcher.execute(msgs, reqs, ledger)
+    out, iterations = match(msgs, reqs)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert np.array_equal(out, want)
-    assert iterations == 98  # ceil(100_000 / 1024): all blocks were scanned
+    assert iterations == want_iterations
     dense_bytes = n_msg * n_req  # the full bool match matrix
     assert peak < dense_bytes / 4
     assert peak < 100 * 2 ** 20
+
+
+def test_blockwise_scan_memory_bound():
+    # ceil(100_000 / 1024): all blocks were scanned
+    assert_blockwise_memory_bound(
+        lambda msgs, reqs: MatrixMatcher().execute(msgs, reqs, CostLedger()),
+        98)
+
+
+def test_blockwise_scan_memory_bound_partitioned():
+    def match(msgs, reqs):
+        outcome = PartitionedMatcher(n_queues=5).match(msgs, reqs)
+        return outcome.request_to_message, outcome.iterations
+    # five queues of 20,000 messages: ceil(20_000 / 1024) blocks each
+    assert_blockwise_memory_bound(match, 20)

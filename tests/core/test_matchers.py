@@ -436,6 +436,14 @@ class TestPartitionedMatcher:
         with pytest.raises(ValueError):
             PartitionedMatcher(sm_count=999)
 
+    @pytest.mark.parametrize("window", [0, 256])
+    def test_window_validated_at_construction(self, window):
+        """A window whose vote matrix cannot fit a full CTA is rejected
+        up front, not by the first non-empty match."""
+        with pytest.raises(ValueError, match="window"):
+            PartitionedMatcher(window=window)
+        PartitionedMatcher(window=192)  # 2 x 32 x 192 x 4 B = 48 KiB fits
+
     def test_single_rank_imbalance(self):
         """All traffic on one rank collapses to single-queue performance."""
         msgs = EnvelopeBatch(src=[5] * 256, tag=list(range(256)))
