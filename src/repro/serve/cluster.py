@@ -7,9 +7,20 @@ and keeps the router in the calling process.  The router is the same
 request sequence space, the virtual clock, results and reports -- over a
 different transport: each worker process hosts a
 :class:`~repro.serve.service.ShardWorker` driven exclusively by wire
-frames (:mod:`repro.serve.wire`) over bounded multiprocessing queues --
-one command queue and one response queue per worker, single writer
-each, so frame order is FIFO per direction.
+frames (:mod:`repro.serve.wire`) over two one-way pipes -- a command
+pipe and a response pipe per worker, single writer each, so frame order
+is FIFO per direction.
+
+**Transport.**  The router never blocks on a write and never sleeps.  It
+writes length-prefixed frames into a worker's command pipe without
+blocking and returns once a frame is in the kernel; while the pipe is
+full it waits in one deadline-bounded ``poll`` -- on that pipe, the
+response pipes and the worker's process sentinel -- and handles replies
+meanwhile.  Frames a worker has not read yet wait in the kernel pipe
+buffer (~60 KB), not in the router's heap; there is no queue depth and
+no feeder thread.  Barriers and shutdown wait in the same ``poll``, so a
+worker's death wakes the router.  The worker reads and writes with
+plain blocking ``recv_bytes`` / ``send_bytes``.
 
 **Determinism contract.**  A same-seed cluster run is bit-identical to
 the in-process service on the same stream: tickets (status, seq, retry
@@ -34,7 +45,8 @@ sends and periodically asks the worker for a checkpoint (the snapshot
 plane's CRC-guarded blob); FIFO ordering means a checkpoint covers
 exactly the frames sent before the request, so the journal truncates at
 the blob.  When a worker dies (SIGKILL mid-flush is the chaos suite's
-favourite), the router respawns it from the last checkpoint and
+favourite), the next barrier that waits on it (stats, checkpoint,
+export) respawns it from the last checkpoint and
 **re-executes the journal verbatim** -- the worker deterministically
 regenerates every post-checkpoint ticket and flush result, and the
 router deduplicates by seq and ``(tenant, flush_seq)``.  Zero admitted
@@ -58,8 +70,9 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
-import queue as queue_mod
+import select
 import signal
+import struct
 import time
 from dataclasses import dataclass
 
@@ -128,13 +141,14 @@ class RebalancePolicy:
 # Worker process
 # ---------------------------------------------------------------------------
 
-def _worker_main(init_blob: bytes, cmd_q, resp_q) -> None:
+def _worker_main(init_blob: bytes, cmd, resp) -> None:
     """One worker process: a :class:`ShardWorker` driven by wire frames.
 
     Top-level by design -- the spawn start method imports this module in
     the child and calls the function by qualified name; nothing here may
     capture router state except through ``init_blob`` (a snapshot-codec
-    blob) and the two queues.
+    blob) and its two pipe ends: ``cmd`` (read) and ``resp`` (write),
+    both blocking.
     """
     cfg = loads(init_blob)
     worker = ShardWorker(cfg["worker_id"], seed=cfg["seed"],
@@ -146,7 +160,7 @@ def _worker_main(init_blob: bytes, cmd_q, resp_q) -> None:
         for spec in cfg["specs"]:
             worker.add_tenant(spec)
     while not worker.stopped:
-        kind, payload = decode_frame(cmd_q.get())
+        kind, payload = decode_frame(cmd.recv_bytes())
         # Busy accounting uses *CPU* time, not wall time: on a host with
         # fewer cores than workers, wall time inside a handler includes
         # the periods this process was descheduled while siblings ran,
@@ -156,13 +170,13 @@ def _worker_main(init_blob: bytes, cmd_q, resp_q) -> None:
         try:
             replies = worker.handle(kind, payload)
         except ShardCrash:
-            # Armed chaos kill: die for real, mid-flush, between queue
+            # Armed chaos kill: die for real, mid-flush, between pipe
             # operations (the accumulator has drained; the in-flight
             # batch exists only on this stack).  Recovery must come from
             # the router's checkpoint + journal.
             os.kill(os.getpid(), signal.SIGKILL)
         for reply in replies:
-            resp_q.put(encode_frame(*reply))
+            resp.send_bytes(encode_frame(*reply))
         worker.busy += time.process_time() - t0
 
 
@@ -170,14 +184,88 @@ def _worker_main(init_blob: bytes, cmd_q, resp_q) -> None:
 # Router
 # ---------------------------------------------------------------------------
 
+#: The length prefix ``Connection.send_bytes`` writes before a frame and
+#: ``Connection.recv_bytes`` reads back (frames stay under 2 GiB).
+_LEN = struct.Struct("!i")
+
+
+class _Link:
+    """The router's ends of one worker's two one-way pipes, non-blocking.
+
+    :meth:`push` queues a length-prefixed frame in ``out`` and
+    :meth:`flush` writes as much of ``out`` as the command pipe takes
+    now; :meth:`read` takes every whole frame the worker has written so
+    far.  None of them ever blocks.
+    """
+
+    def __init__(self, cmd, resp) -> None:
+        self.cmd = cmd             # command pipe, write end
+        self.resp = resp           # response pipe, read end
+        self.out = bytearray()     # frame bytes the pipe has not taken
+        self.inbuf = bytearray()   # a reply frame's head, awaiting its tail
+        self.eof = False           # the worker's write end is closed
+        self.broken = False        # the worker's read end is closed
+        os.set_blocking(cmd.fileno(), False)
+        os.set_blocking(resp.fileno(), False)
+
+    def push(self, frame: bytes) -> None:
+        self.out += _LEN.pack(len(frame))
+        self.out += frame
+
+    def flush(self) -> bool:
+        """Write what fits; ``True`` once nothing is left unsent.  Once
+        the worker is gone (``broken``), unsent bytes die with it, as
+        the frames already in its pipe did."""
+        try:
+            while self.out and not self.broken:
+                del self.out[:os.write(self.cmd.fileno(), self.out)]
+        except BlockingIOError:
+            return False
+        except BrokenPipeError:
+            self.broken = True
+        if self.broken:
+            self.out.clear()
+        return not self.broken
+
+    def read(self) -> list[bytes]:
+        """Every whole frame in the response pipe.  At EOF a torn
+        trailing frame from a killed worker is dropped: the journal
+        replay regenerates whatever it carried."""
+        buf = self.inbuf
+        while not self.eof:
+            try:
+                chunk = os.read(self.resp.fileno(), 1 << 16)
+            except BlockingIOError:
+                break
+            if chunk:
+                buf += chunk
+            else:
+                self.eof = True
+        frames, pos = [], 0
+        with memoryview(buf) as view:
+            while len(buf) - pos >= _LEN.size:
+                end = pos + _LEN.size + _LEN.unpack_from(buf, pos)[0]
+                if end > len(buf):
+                    break
+                frames.append(bytes(view[pos + _LEN.size:end]))
+                pos = end
+        del buf[:pos]
+        if self.eof:
+            buf.clear()
+        return frames
+
+    def close(self) -> None:
+        self.cmd.close()
+        self.resp.close()
+
+
 class _WorkerHandle:
     """Router-side bookkeeping for one worker process."""
 
     def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
         self.proc = None
-        self.cmd_q = None
-        self.resp_q = None
+        self.link: _Link | None = None
         #: state-mutating frames sent since the last durable checkpoint
         #: (the verbatim re-execution script for recovery).
         self.journal: list[bytes] = []
@@ -206,8 +294,12 @@ class ClusterService(Router):
     processes -- ``register`` / ``submit`` / ``advance_to`` / ``drain``
     / ``report`` -- with one asynchronous difference: ``submit`` returns
     the routed request's **seq** immediately (the pipeline is what buys
-    the multi-core speedup); the ticket arrives on the response queue
+    the multi-core speedup); the ticket arrives on the response pipe
     and is available from :attr:`tickets` after the next :meth:`sync`.
+
+    Each worker sits behind two one-way pipes: the router runs ahead of
+    it by at most the kernel pipe buffer (~60 KB), with no queue depth
+    to tune and no feeder thread.
 
     Parameters
     ----------
@@ -222,16 +314,14 @@ class ClusterService(Router):
         (cheaper startup; the test suites use it for speed).
     checkpoint_every:
         Checkpoint cadence per worker, in newly routed flush results.
-    queue_depth:
-        Bound on each direction of every worker's duplex queue pair.
     op_timeout:
         Wall-clock bound on any single router operation against a
-        worker (put retries, barriers, migration exports) before
-        :class:`ClusterError` -- a hung worker fails fast, it does not
-        wedge the router.
+        worker (a post into a full pipe, barriers, migration exports)
+        before :class:`ClusterError` -- a hung worker fails fast, it
+        does not wedge the router.
     stages:
         Optional :class:`~repro.serve.stages.StageClock`; the router
-        charges frame encode/decode and enqueue work to ``transport``
+        charges frame encode/decode and pipe writes to ``transport``
         (never time spent waiting on workers).
     """
 
@@ -241,15 +331,12 @@ class ClusterService(Router):
                  seed: int = 0, promote_after: int = 3,
                  profile_window: int = 8, verify: bool = False,
                  start_method: str = "spawn", checkpoint_every: int = 8,
-                 queue_depth: int = 256, op_timeout: float = 60.0,
-                 max_respawns: int = 16,
+                 op_timeout: float = 60.0, max_respawns: int = 16,
                  stages: StageClock | None = None) -> None:
         if n_workers < 1:
             raise ValueError("n_workers must be >= 1")
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
-        if queue_depth < 1:
-            raise ValueError("queue_depth must be >= 1")
         super().__init__([_WorkerHandle(i) for i in range(n_workers)],
                          batching if batching is not None else BatchPolicy())
         self.n_workers = n_workers
@@ -258,7 +345,6 @@ class ClusterService(Router):
             admission if admission is not None else AdmissionPolicy(),
             self.batching, promote_after, profile_window, verify)
         self.checkpoint_every = checkpoint_every
-        self.queue_depth = queue_depth
         self.op_timeout = op_timeout
         self.max_respawns = max_respawns
         self.stages = stages
@@ -289,25 +375,38 @@ class ClusterService(Router):
         self._register(spec)
 
     def start(self) -> "ClusterService":
-        """Spawn every worker process (idempotent misuse is an error)."""
+        """Spawn every worker process (idempotent misuse is an error).
+
+        If a spawn fails, the workers already started are terminated,
+        joined and closed before the error propagates, so a retried
+        ``start()`` begins from a clean slate.
+        """
         if self._started:
             raise ClusterError("cluster already started")
-        for w in self._workers:
-            self._spawn(w)
+        try:
+            for w in self._workers:
+                self._spawn(w)
+        except BaseException:
+            for w in self._workers:
+                self._reap(w, 0.0)
+                if w.proc is not None:
+                    w.proc.close()
+                    w.proc = None
+            raise
         self._started = True
         return self
 
     def stop(self) -> None:
         """Clean shutdown: stop frames, await every ``bye``, join.
 
-        A worker cannot exit while its queue feeder thread is still
-        writing replies nobody reads (a checkpoint blob outgrows the
-        pipe buffer), so the router pumps until each live worker's
-        ``bye`` arrives and only then joins.  Stragglers are terminated
-        once ``op_timeout`` passes.  ``_stopping`` suppresses checkpoint
-        requests (nothing may follow a stop frame) and recovery (a
-        worker found dead now would be respawned, replayed and never
-        stopped -- terminate it instead).
+        A worker blocks in ``send_bytes`` while its replies outgrow the
+        response pipe (a checkpoint blob can), so the router keeps
+        reading -- waiting in its one ``poll``, never sleeping -- until
+        each live worker's ``bye`` arrives, and only then joins.
+        Stragglers are terminated once ``op_timeout`` passes.
+        ``_stopping`` suppresses checkpoint requests (nothing may follow
+        a stop frame); a worker found dead is not recovered (it would be
+        respawned, replayed and never stopped) but joined.
         """
         if not self._started or self._stopped:
             self._stopped = True
@@ -323,17 +422,13 @@ class ClusterService(Router):
         deadline = time.monotonic() + self.op_timeout
         while True:
             self._pump()
-            if (all(w.stopped or not w.alive() for w in self._workers)
-                    or time.monotonic() > deadline):
+            running = [w for w in self._workers
+                       if not w.stopped and w.alive()]
+            if not running or time.monotonic() > deadline:
                 break
-            time.sleep(0.001)
+            self._wait(deadline, running)
         for w in self._workers:
-            if w.proc is not None:
-                w.proc.join(timeout=max(0.0, deadline - time.monotonic()))
-                if w.proc.is_alive():
-                    w.proc.terminate()
-                    w.proc.join(timeout=1.0)
-            self._close_queues(w)
+            self._reap(w, max(0.0, deadline - time.monotonic()))
         self._stopped = True
 
     def __enter__(self) -> "ClusterService":
@@ -409,9 +504,9 @@ class ClusterService(Router):
         frame = self._encode_transport("stats", {"token": token})
         with self._collecting() as routed:
             for w in self._workers:
-                self._post_until_sent(w, frame)
+                self._post(w, frame)
             self._await(self._workers, lambda w: w.stats_token >= token,
-                        lambda w: self._post_until_sent(w, frame),
+                        lambda w: self._post(w, frame),
                         "missed the stats barrier")
         return routed
 
@@ -422,7 +517,7 @@ class ClusterService(Router):
         """Arm a chaos kill: the worker SIGKILLs itself mid-flush on its
         ``after_flushes``-th non-empty flush from now.  Deliberately
         **not** journaled -- a recovered worker must not re-die -- so if
-        the worker dies before the frame is enqueued, the arm is simply
+        the worker dies before the frame is in its pipe, the arm is simply
         dropped (returns ``False``) rather than re-sent at the respawn.
         """
         if after_flushes < 1:
@@ -546,34 +641,45 @@ class ClusterService(Router):
             "policies": self._policies})
 
     def _spawn(self, w: _WorkerHandle) -> None:
-        w.cmd_q = self._ctx.Queue(self.queue_depth)
-        w.resp_q = self._ctx.Queue(self.queue_depth)
-        w.proc = self._ctx.Process(
+        cmd_r, cmd_w = self._ctx.Pipe(duplex=False)
+        resp_r, resp_w = self._ctx.Pipe(duplex=False)
+        proc = self._ctx.Process(
             target=_worker_main,
-            args=(self._init_blob(w), w.cmd_q, w.resp_q),
+            args=(self._init_blob(w), cmd_r, resp_w),
             daemon=True, name=f"repro-serve-worker-{w.worker_id}")
-        w.proc.start()
+        try:
+            proc.start()
+        finally:
+            # only the worker holds its ends, so its death closes them:
+            # EOF on the response pipe, EPIPE on the command pipe
+            cmd_r.close()
+            resp_w.close()
+        w.proc, w.link = proc, _Link(cmd_w, resp_r)
 
     @staticmethod
-    def _close_queues(w: _WorkerHandle) -> None:
-        for q in (w.cmd_q, w.resp_q):
-            if q is not None:
-                q.cancel_join_thread()
-                q.close()
-        w.cmd_q = None
-        w.resp_q = None
+    def _reap(w: _WorkerHandle, grace: float) -> None:
+        """Join a worker for up to ``grace`` seconds, terminate it if it
+        is still running, and close its pipes."""
+        if w.proc is not None:
+            w.proc.join(timeout=grace)
+            if w.proc.is_alive():
+                w.proc.terminate()
+                w.proc.join(timeout=1.0)
+        if w.link is not None:
+            w.link.close()
+            w.link = None
 
     def _send(self, w: _WorkerHandle, kind: str, payload=None) -> None:
         """Encode and journal a state-mutating frame, then deliver it.
-        If the worker died, recovery's journal replay already delivered
-        it.
+        If the worker is gone, its recovery replays the frame from the
+        journal.
 
         ``_in_send`` suppresses checkpoint requests while the frame is
-        journaled but not yet enqueued: a mark taken now would cover the
-        frame's journal slot, yet the checkpoint request could overtake
-        it into the command queue -- the blob would exclude the frame's
-        effects while the truncation drops it from the journal, losing
-        it from any later replay.
+        journaled but not yet in the pipe: a mark taken now would cover
+        the frame's journal slot, yet the checkpoint request could
+        overtake it into the command pipe -- the blob would exclude the
+        frame's effects while the truncation drops it from the journal,
+        losing it from any later replay.
         """
         data = self._encode_transport(kind, payload)
         w.journal.append(data)
@@ -584,62 +690,66 @@ class ClusterService(Router):
             self._in_send = False
 
     def _post(self, w: _WorkerHandle, data: bytes) -> bool:
-        """Deliver one raw frame, pumping responses while the command
-        queue is full.  Returns ``False`` when the worker was found dead
-        and recovered instead (journaled frames need no re-send; callers
-        of non-journaled frames re-send on ``False``).  A worker dying
-        during its own recovery replay is a hard protocol failure, not a
-        retry."""
+        """Deliver one raw frame: return once it is in the kernel pipe,
+        handling replies while the pipe is full.  Returns ``False`` when
+        the worker is gone: the frame dies with it, and the recovery at
+        the next barrier replays the journal (callers of non-journaled
+        frames re-send after it).  Recovering here instead would tie the
+        recovery point, and so the replayed journal, to wall-clock
+        timing.  A worker dying during its own recovery replay is a hard
+        protocol failure, not a retry."""
         stages = self.stages
+        link = w.link
+        link.push(data)
         deadline = time.monotonic() + self.op_timeout
         while True:
-            try:
-                t0 = StageClock.start() if stages is not None else 0.0
-                w.cmd_q.put(data, timeout=0.05)
-                if stages is not None:
-                    stages.stop("transport", t0)
+            t0 = StageClock.start() if stages is not None else 0.0
+            sent = link.flush()
+            if stages is not None:
+                stages.stop("transport", t0)
+            if sent:
                 return True
-            except queue_mod.Full:
-                self._pump()
-                if not w.alive():
-                    if self._stopping:
-                        return False   # stop() terminates it at the join
-                    if self._in_recover:
-                        raise ClusterError(f"worker {w.worker_id} died "
-                                           f"during journal replay")
-                    self._recover(w)
-                    return False
-                if time.monotonic() > deadline:
-                    raise ClusterError(
-                        f"worker {w.worker_id} stalled (command queue "
-                        f"full for {self.op_timeout}s)")
+            if link.broken:
+                if self._in_recover:
+                    raise ClusterError(f"worker {w.worker_id} died "
+                                       f"during journal replay")
+                return False
+            if time.monotonic() > deadline:
+                raise ClusterError(
+                    f"worker {w.worker_id} stalled (command pipe full "
+                    f"for {self.op_timeout}s)")
+            self._wait(deadline, [w], w)
+            self._pump()
 
-    def _post_until_sent(self, w: _WorkerHandle, data: bytes) -> None:
-        """Deliver a non-journaled frame even across a recovery."""
-        while not self._post(w, data):
-            pass
+    def _wait(self, deadline: float, watch: list[_WorkerHandle],
+              writer: _WorkerHandle | None = None) -> None:
+        """The router's one wait: block until a worker replies, a
+        ``watch``ed worker dies, ``writer``'s command pipe has room, or
+        ``deadline`` passes.  Callers act on a watched worker's death,
+        so its sentinel is watched even if it already fired."""
+        poller = select.poll()
+        for w in self._workers:
+            if w.link is not None and not w.link.eof:
+                poller.register(w.link.resp, select.POLLIN)
+        for w in watch:
+            poller.register(w.proc.sentinel, select.POLLIN)
+        if writer is not None:
+            poller.register(writer.link.cmd, select.POLLOUT)
+        poller.poll(max(0.0, deadline - time.monotonic()) * 1e3)
 
     def _pump(self) -> None:
-        """Drain every worker's response queue without blocking."""
+        """Handle every whole reply in the workers' response pipes,
+        without blocking."""
         stages = self.stages
         for w in self._workers:
-            if w.resp_q is None:
+            if w.link is None:
                 continue
-            while True:
-                try:
-                    data = w.resp_q.get_nowait()
-                except queue_mod.Empty:
-                    break
-                except Exception:
-                    # A SIGKILLed worker can leave a torn write in the
-                    # pipe; drop it -- the journal replay regenerates
-                    # whatever the torn frame carried.
-                    break
+            for data in w.link.read():
                 t0 = StageClock.start() if stages is not None else 0.0
                 try:
                     kind, payload = decode_frame(data)
                 except WireError:
-                    break   # torn frame from a killed worker
+                    continue   # dropped, like a torn frame
                 finally:
                     if stages is not None:
                         stages.stop("transport", t0)
@@ -705,15 +815,10 @@ class ClusterService(Router):
             self._in_maybe_ckpt = False
 
     def _request_checkpoint(self, w: _WorkerHandle) -> None:
-        """Mark the truncation point and post the checkpoint request;
-        the mark and the request travel together across recoveries."""
-        frame = self._encode_transport("checkpoint", None)
-        while True:
-            w.ckpt_mark = len(w.journal)
-            if self._post(w, frame):
-                return
-            # recovered mid-post: _recover cleared the mark; re-mark
-            # against the (unchanged) journal and re-send
+        """Mark the truncation point and post the checkpoint request.
+        If the worker is gone, its recovery clears the mark."""
+        w.ckpt_mark = len(w.journal)
+        self._post(w, self._encode_transport("checkpoint", None))
 
     def checkpoint_now(self, worker_id: int | None = None) -> None:
         """Synchronously checkpoint one worker (or all): request, then
@@ -744,16 +849,18 @@ class ClusterService(Router):
             waiting = [w for w in targets if not done(w)]
             if not waiting:
                 return
-            for w in waiting:
-                if not w.alive():
-                    self._recover(w)
-                    redo(w)
-                    deadline = time.monotonic() + self.op_timeout
+            dead = [w for w in waiting if not w.alive()]
+            for w in dead:
+                self._recover(w)
+                redo(w)
+            if dead:
+                deadline = time.monotonic() + self.op_timeout
+                continue   # the replay may already have answered
             if time.monotonic() > deadline:
                 stalled = [w.worker_id for w in waiting]
                 raise ClusterError(f"workers {stalled} {what} after "
                                    f"{self.op_timeout}s")
-            time.sleep(0.001)
+            self._wait(deadline, waiting)
 
     def _recover(self, w: _WorkerHandle) -> ClusterRecovery:
         """Respawn a dead worker and re-execute its journal verbatim.
@@ -769,11 +876,7 @@ class ClusterService(Router):
         if w.respawns > self.max_respawns:
             raise ClusterError(f"worker {w.worker_id} exceeded "
                                f"{self.max_respawns} respawns")
-        if w.proc is not None:
-            if w.proc.is_alive():
-                w.proc.terminate()
-            w.proc.join(timeout=5.0)
-        self._close_queues(w)
+        self._reap(w, 0.0)
         w.ckpt_mark = None
         w.flushes_since_ckpt = 0
         self._spawn(w)
@@ -856,8 +959,7 @@ def run_cluster_workload(workload: ServeWorkload, *, n_workers: int = 2,
                          profile_window: int = 8, verify: bool = False,
                          start_method: str = "spawn",
                          checkpoint_every: int = 8,
-                         queue_depth: int = 256, op_timeout: float = 60.0,
-                         max_respawns: int = 16,
+                         op_timeout: float = 60.0, max_respawns: int = 16,
                          stages: StageClock | None = None,
                          arm_exit: tuple[int, int] | None = None,
                          ) -> tuple[ClusterService, float]:
@@ -877,8 +979,7 @@ def run_cluster_workload(workload: ServeWorkload, *, n_workers: int = 2,
         seed=seed, promote_after=promote_after,
         profile_window=profile_window, verify=verify,
         start_method=start_method, checkpoint_every=checkpoint_every,
-        queue_depth=queue_depth, op_timeout=op_timeout,
-        max_respawns=max_respawns, stages=stages)
+        op_timeout=op_timeout, max_respawns=max_respawns, stages=stages)
     for spec in workload.tenants:
         cluster.register(spec)
     cluster.start()

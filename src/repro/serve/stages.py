@@ -6,7 +6,7 @@ code inside a cluster worker process, so that is the one place the
 program keeps its own clock.  A :class:`StageClock` has three stages:
 
 * ``transport`` -- the cluster router's wire-frame encode/decode and
-  queue hand-off (work done, never time spent *waiting* on workers);
+  pipe writes (work done, never time spent *waiting* on workers);
 * ``match``     -- a worker's tenant engines' matching passes;
 * ``result``    -- a worker's flush-result assembly, profiling, and
   autotuning.

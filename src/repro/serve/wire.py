@@ -1,7 +1,7 @@
 """Pickle-free wire frames for the cluster's process boundary.
 
 The router and its worker processes speak a tiny framed protocol over
-bounded multiprocessing queues.  Every frame is **data, never code**: the
+two one-way pipes per worker.  Every frame is **data, never code**: the
 payload is encoded with the same tagged binary codec the snapshot plane
 uses (:mod:`repro.serve.state`), wrapped in a frame header with its own
 magic, a format version, a one-byte frame kind, an explicit payload

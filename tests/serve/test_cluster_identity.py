@@ -18,14 +18,17 @@ init blob, never inherit router memory).
 
 from __future__ import annotations
 
+import fcntl
 import multiprocessing
+import os
 
 import pytest
 
-from repro.serve import (AdmissionPolicy, BatchPolicy, ClusterError,
-                         ClusterService, MatchingService, merge_workloads,
-                         run_cluster_workload, run_workload, stable_shard,
-                         workload_from_app)
+import repro.serve.cluster as cluster_mod
+from repro.serve import (DEFAULT_BENCH_APPS, AdmissionPolicy, BatchPolicy,
+                         ClusterError, ClusterService, MatchingService,
+                         merge_workloads, run_cluster_workload, run_workload,
+                         stable_shard, workload_from_app)
 from repro.serve.loadgen import ServeWorkload
 
 
@@ -244,16 +247,49 @@ class TestRouterHardening:
             cluster._maybe_checkpoint()
             assert w.ckpt_mark is not None  # cadence fires once send ends
 
-    def test_checkpoint_cadence_identity_under_tiny_queue(self):
-        """checkpoint_every=1 with a depth-1 command queue maximises
-        checkpoint requests racing full-queue sends; the record must
-        stay bit-identical to the in-process service."""
-        wl = mixed_workload(seed=37, steps=2)
+    def test_checkpoint_cadence_identity_under_tiny_queue(self,
+                                                          monkeypatch):
+        """checkpoint_every=1 with both pipes of every worker shrunk to
+        one page maximises checkpoint requests racing full-pipe sends,
+        and frames larger than the pipe cross it in parts in both
+        directions; the record must stay bit-identical to the
+        in-process service."""
+        page = os.sysconf("SC_PAGE_SIZE")
+        spawn = ClusterService._spawn
+        pipe_sizes = set()
+
+        def spawn_tiny(self, w):
+            spawn(self, w)
+            for end in (w.link.cmd, w.link.resp):
+                fcntl.fcntl(end.fileno(), fcntl.F_SETPIPE_SZ, page)
+                pipe_sizes.add(fcntl.fcntl(end.fileno(),
+                                           fcntl.F_GETPIPE_SZ))
+
+        largest = {"sent": 0, "received": 0}
+        encode, decode = cluster_mod.encode_frame, cluster_mod.decode_frame
+
+        def encode_sized(kind, payload=None):
+            frame = encode(kind, payload)
+            largest["sent"] = max(largest["sent"], len(frame))
+            return frame
+
+        def decode_sized(data):
+            largest["received"] = max(largest["received"], len(data))
+            return decode(data)
+
+        monkeypatch.setattr(ClusterService, "_spawn", spawn_tiny)
+        monkeypatch.setattr(cluster_mod, "encode_frame", encode_sized)
+        monkeypatch.setattr(cluster_mod, "decode_frame", decode_sized)
+        parts = [workload_from_app(app, steps=16, chunk_envelopes=256,
+                                   seed=37, ordering_required=ordered)
+                 for app, ordered in DEFAULT_BENCH_APPS]
+        wl = merge_workloads("bench", parts)
         svc, _ = run_workload(wl, n_shards=2, seed=37)
         cluster, _ = run_cluster_workload(wl, n_workers=2, seed=37,
                                           start_method="fork",
-                                          checkpoint_every=1,
-                                          queue_depth=1)
+                                          checkpoint_every=1)
+        assert pipe_sizes == {page}
+        assert min(largest.values()) > page
         assert_identical(cluster, svc)
 
     def test_stop_does_not_recover_dead_workers(self):
