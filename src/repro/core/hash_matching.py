@@ -111,10 +111,6 @@ class _Level:
         self.req_idx = np.full(slots, -1, dtype=np.int64)
         self.used = np.zeros(slots, dtype=bool)
 
-    def live_entries(self) -> np.ndarray:
-        """Request indices still waiting in this level."""
-        return self.req_idx[self.used]
-
 
 class HashMatcher:
     """Unordered matching through a two-level hash table.

@@ -7,34 +7,28 @@ completable partitions, so the per-message matching cost -- the whole
 subject of the paper's Table II analysis -- is amortized over arbitrarily
 many re-fires.
 
-The model here follows the MPI-4 surface:
+:class:`_PartitionedBase` is the channel's one state machine (epochs, the
+ready mask, every index, range and binding check); a transport adds two
+hooks, bind the epoch and fire partitions.  This module's transport is
+:class:`~repro.mpi.network.GASNetwork`; the serve fabric's
+:class:`~repro.serve.fabric.BridgePsend` / ``BridgePrecv`` are the other.
 
-* :func:`psend_init` / :func:`precv_init` create persistent partitioned
-  requests bound to a ``(src, dst, tag, comm)`` envelope and a partition
-  count.  Init performs no communication.
-* ``start()`` activates one *epoch*.  The send side emits exactly **one**
-  binding envelope through the ordinary matching path (``isend`` on the
-  user tag); the receive side posts exactly **one** receive.  That single
-  match -- countable in ``Endpoint.matches_total`` -- establishes the
-  epoch's channel binding.
-* ``pready(i)`` (send side) marks partition ``i`` ready and ships it as a
-  *partition frame*: a :class:`~repro.mpi.network.MessageDescriptor` with
-  ``part=(channel, epoch, i)`` sent through :class:`~repro.mpi.network.
-  GASNetwork` like any other frame.  It is sequenced per pair, charged
-  wire time, dropped/duplicated/delayed/corrupted by an installed
-  :class:`~repro.mpi.faults.FaultPlan`, and recovered by the reliability
-  layer -- but on delivery it bypasses the UMQ and lands directly in the
-  channel's pre-registered partition buffer (the receive buffer is known
-  at init time; that is the point of the API).
-* ``parrived(i)`` (receive side) reports per-partition completion;
-  ``wait()`` completes the epoch and re-arms the request for the next
-  ``start()``.
+* :func:`psend_init` / :func:`precv_init` create persistent requests
+  bound to a ``(src, dst, tag, comm)`` envelope and a partition count.
+  Init performs no communication.
+* ``start()`` sends (send side) or posts (receive side) exactly **one**
+  binding envelope on the user tag; that single match -- countable in
+  ``Endpoint.matches_total`` -- binds the epoch.
+* ``pready(i)`` ships partition ``i`` as its own frame
+  (``part=(channel, epoch, i)``): sequenced, charged wire time,
+  fault-injected and recovered like any frame, but landing in the
+  channel's pre-registered buffer instead of the UMQ.
+* ``parrived(i)`` reports per-partition completion; ``wait()`` completes
+  the epoch and re-arms the request for the next ``start()``.
 
-Frames that arrive before their epoch's binding has matched (sender ran
-ahead, or reordering faults) are *staged* by the cluster-wide
-:class:`PartitionRouter` and drained the moment the binding lands, so
-partitioned traffic is robust to any interleaving the transport can
-produce.
+Frames that arrive before their epoch's binding has matched are *staged*
+by the cluster-wide :class:`PartitionRouter` and drained the moment the
+binding lands.
 """
 
 from __future__ import annotations
@@ -130,27 +124,33 @@ class PartitionRouter:
                                       for v in self._staged.values())}
 
 
-def _binding_payload(channel: int, epoch: int, partitions: int,
-                     bytes_per_partition: int) -> dict:
-    return {"part_channel": channel, "epoch": epoch,
-            "partitions": partitions,
-            "bytes_per_partition": bytes_per_partition}
-
-
 class _PartitionedBase:
-    """State shared by both sides of a partitioned request."""
+    """One side of a partitioned channel: the state machine every
+    transport shares.
 
-    def __init__(self, comm: Communicator, partitions: int,
-                 tag: int) -> None:
+    It owns the epoch counter, the active flag and the ready mask --
+    partitions fired (send side) or landed (receive side) this epoch --
+    and checks each call before any side effect, so a rejected
+    ``pready_range`` marks and fires nothing.  A transport supplies
+    ``_bind()``, which sends or posts the epoch's binding envelope, and
+    on the send side ``_fire(lo, hi, payloads)``, which ships partitions
+    ``lo..hi-1`` (``payloads`` is ``None`` or one entry per partition).
+    """
+
+    #: raised for binding and completion failures
+    _error: type[Exception] = RuntimeError
+    #: raised when the two sides declare different partition counts
+    _count_error: type[Exception] = ValueError
+
+    def __init__(self, partitions: int, tag: int) -> None:
         if partitions < 1:
             raise ValueError("partitions must be >= 1")
         check_app_tag(tag)
-        self.comm = comm
         self.partitions = partitions
         self.tag = tag
         self.epoch = 0
         self._active = False
-        self.router = comm.cluster.partitioned
+        self._ready = np.zeros(partitions, dtype=bool)
 
     @property
     def active(self) -> bool:
@@ -167,41 +167,92 @@ class _PartitionedBase:
             raise IndexError(f"partition {i} out of range "
                              f"(0..{self.partitions - 1})")
 
+    def _start(self) -> None:
+        """Open the next epoch with nothing ready, then bind it."""
+        if self._active:
+            raise RuntimeError("start() on an already-active partitioned "
+                               "request; wait() the epoch first")
+        self.epoch += 1
+        self._active = True
+        # a fresh mask per epoch: a fabric receiver reads the finished
+        # epoch's mask after its sender may have started the next one
+        self._ready = np.zeros(self.partitions, dtype=bool)
+        self._bind()
+
+    def _pready(self, lo: int, hi: int, payloads: Any,
+                op: str = "pready_range") -> None:
+        """Fire partitions ``lo..hi-1``.  Every check runs first, so a
+        rejected call marks and fires nothing."""
+        self._require_active(op)
+        if not 0 <= lo <= hi <= self.partitions:
+            raise IndexError(f"range [{lo}, {hi}) outside "
+                             f"{self.partitions} partitions")
+        ready = self._ready[lo:hi]
+        if ready.any():
+            already = (lo + np.flatnonzero(ready)).tolist()
+            raise RuntimeError(f"partitions {already} already marked "
+                               "ready this epoch")
+        self._fire(lo, hi, payloads)
+        ready[:] = True
+
+    def _check_all_ready(self) -> None:
+        """An epoch completes only once every partition has fired."""
+        if not self._ready.all():
+            missing = np.flatnonzero(~self._ready).tolist()
+            raise self._error(
+                f"wait() with partitions {missing} never pready'd; every "
+                "partition must fire each epoch")
+
+    def _binding_token(self, channel: int, bytes_per_partition: int) -> dict:
+        """The binding envelope's payload (send side)."""
+        return {"part_channel": channel, "epoch": self.epoch,
+                "partitions": self.partitions,
+                "bytes_per_partition": bytes_per_partition}
+
+    def _check_binding(self, token: Any) -> None:
+        """Receive side: the matched binding must be this channel's, for
+        this epoch, with this partition count."""
+        if not isinstance(token, dict) or "part_channel" not in token:
+            raise self._error(
+                "partitioned receive matched a non-partitioned send on "
+                f"tag {self.tag}; the channel tag must not be shared "
+                "with ordinary traffic")
+        if token["partitions"] != self.partitions:
+            raise self._count_error(
+                f"partition count mismatch: sender declared "
+                f"{token['partitions']}, receiver {self.partitions}")
+        if token["epoch"] != self.epoch:
+            raise self._error(
+                f"epoch skew on partitioned channel "
+                f"{token['part_channel']}: sender epoch {token['epoch']}, "
+                f"receiver epoch {self.epoch} -- both sides must start() "
+                "each epoch exactly once")
+
 
 class PsendRequest(_PartitionedBase):
     """Send side of a persistent partitioned channel (``MPI_Psend_init``).
 
     ``src``/``dst`` are communicator-local ranks.  One binding envelope
-    per ``start()``; one partition frame per ``pready``.
+    per ``start()``; one partition frame per fired partition.
     """
 
     def __init__(self, comm: Communicator, src: int, dst: int,
                  partitions: int, tag: int = 0,
                  bytes_per_partition: int = 8) -> None:
-        super().__init__(comm, partitions, tag)
+        super().__init__(partitions, tag)
         if bytes_per_partition < 0:
             raise ValueError("bytes_per_partition cannot be negative")
+        self.comm = comm
         self.src = src
         self.dst = dst
         self.bytes_per_partition = bytes_per_partition
-        self.channel = self.router.alloc_channel()
-        self._ready = np.zeros(partitions, dtype=bool)
+        self.channel = comm.cluster.partitioned.alloc_channel()
 
     def start(self) -> "PsendRequest":
         """Activate one epoch: all partitions become not-ready and the
         binding envelope is sent -- the epoch's *single* matched message,
         regardless of how many partitions later fire."""
-        if self._active:
-            raise RuntimeError("start() on an already-active partitioned "
-                               "send; wait() the epoch first")
-        self.epoch += 1
-        self._active = True
-        self._ready[:] = False
-        self.comm.isend(self.src, self.dst,
-                        _binding_payload(self.channel, self.epoch,
-                                         self.partitions,
-                                         self.bytes_per_partition),
-                        self.tag)
+        self._start()
         return self
 
     def pready(self, i: int, payload: Any = None) -> None:
@@ -212,27 +263,30 @@ class PsendRequest(_PartitionedBase):
         charged wire time like any eager message of
         ``bytes_per_partition`` bytes (or the payload's size if larger).
         """
-        self._require_active("pready")
-        self._check_index(i)
-        if self._ready[i]:
-            raise RuntimeError(f"partition {i} already marked ready this "
-                               "epoch")
-        self._ready[i] = True
-        nbytes = max(self.bytes_per_partition, payload_nbytes(payload))
-        desc = MessageDescriptor(
-            src=self.comm.global_rank(self.src),
-            dst=self.comm.global_rank(self.dst),
-            tag=self.tag, comm=self.comm.comm_id,
-            nbytes=nbytes, eager=True,
-            payload=clone_payload(payload),
-            part=(self.channel, self.epoch, i))
-        self.comm.cluster.network.send(desc)
+        self._pready(i, i + 1, (payload,), "pready")
 
     def pready_range(self, lo: int, hi: int,
                      payloads: Any = None) -> None:
         """Fire partitions ``lo..hi-1`` (``MPI_Pready_range``)."""
+        self._pready(lo, hi, payloads)
+
+    def _bind(self) -> None:
+        self.comm.isend(self.src, self.dst,
+                        self._binding_token(self.channel,
+                                            self.bytes_per_partition),
+                        self.tag)
+
+    def _fire(self, lo: int, hi: int, payloads: Any) -> None:
+        comm = self.comm
+        src, dst = comm.global_rank(self.src), comm.global_rank(self.dst)
         for i in range(lo, hi):
-            self.pready(i, None if payloads is None else payloads[i - lo])
+            payload = None if payloads is None else payloads[i - lo]
+            comm.cluster.network.send(MessageDescriptor(
+                src=src, dst=dst, tag=self.tag, comm=comm.comm_id,
+                nbytes=max(self.bytes_per_partition,
+                           payload_nbytes(payload)),
+                eager=True, payload=clone_payload(payload),
+                part=(self.channel, self.epoch, i)))
 
     def test(self) -> bool:
         """Send-side epoch completion: every partition fired."""
@@ -247,11 +301,7 @@ class PsendRequest(_PartitionedBase):
         partition be made ready before the operation can complete).
         """
         self._require_active("wait")
-        if not self._ready.all():
-            missing = np.flatnonzero(~self._ready)
-            raise RuntimeError(
-                f"wait() with partitions {missing.tolist()} never "
-                "pready'd; every partition must fire each epoch")
+        self._check_all_ready()
         # pump until the transport has nothing left in flight for us --
         # under faults, frames may still be in retransmission
         for _ in range(max_rounds):
@@ -273,64 +323,43 @@ class PrecvRequest(_PartitionedBase):
 
     def __init__(self, comm: Communicator, dst: int, src: int,
                  partitions: int, tag: int = 0) -> None:
-        super().__init__(comm, partitions, tag)
+        super().__init__(partitions, tag)
+        self.comm = comm
+        self.router = comm.cluster.partitioned
         self.dst = dst
         self.src = src
-        self._arrived = np.zeros(partitions, dtype=bool)
         self._payloads: list[Any] = [None] * partitions
         self._binding: dict | None = None
         self._binding_req = None
-        self._channel: int | None = None
 
     def start(self) -> "PrecvRequest":
         """Activate one epoch: post the *single* receive whose match
         binds the channel."""
-        if self._active:
-            raise RuntimeError("start() on an already-active partitioned "
-                               "receive; wait() the epoch first")
-        self.epoch += 1
-        self._active = True
-        self._arrived[:] = False
+        self._start()
+        return self
+
+    def _bind(self) -> None:
         self._payloads = [None] * self.partitions
         self._binding = None
         self._binding_req = self.comm.irecv(self.dst, self.src, self.tag)
-        return self
 
     # -- router callback ---------------------------------------------------------
 
     def _land(self, index: int, payload: Any) -> None:
         if 0 <= index < self.partitions:
-            self._arrived[index] = True
+            self._ready[index] = True
             self._payloads[index] = payload
 
     # -- completion --------------------------------------------------------------
 
     def _poll_binding(self) -> None:
         """Attach to the channel once the binding envelope has matched."""
-        if self._binding is not None or self._binding_req is None:
-            return
-        if not self._binding_req.test():
+        if self._binding is not None or not self._binding_req.test():
             return
         binding = self._binding_req.wait()
-        if (not isinstance(binding, dict)
-                or "part_channel" not in binding):
-            raise RuntimeError(
-                "partitioned receive matched a non-partitioned send on "
-                f"tag {self.tag}; the channel tag must not be shared "
-                "with ordinary traffic")
-        if binding["partitions"] != self.partitions:
-            raise ValueError(
-                f"partition count mismatch: sender declared "
-                f"{binding['partitions']}, receiver {self.partitions}")
-        if binding["epoch"] != self.epoch:
-            raise RuntimeError(
-                f"epoch skew on partitioned channel "
-                f"{binding['part_channel']}: sender epoch "
-                f"{binding['epoch']}, receiver epoch {self.epoch} -- "
-                "both sides must start() each epoch exactly once")
+        self._check_binding(binding)
         self._binding = binding
-        self._channel = binding["part_channel"]
-        self.router.bind(self._channel, self.epoch, self)
+        self.router.bind(binding["part_channel"], self.epoch, self)
 
     def parrived(self, i: int) -> bool:
         """Has partition ``i`` landed this epoch?  (``MPI_Parrived``;
@@ -339,14 +368,14 @@ class PrecvRequest(_PartitionedBase):
         self._check_index(i)
         self.comm.cluster.progress()
         self._poll_binding()
-        return bool(self._arrived[i])
+        return bool(self._ready[i])
 
     def test(self) -> bool:
         """Epoch completion: binding matched and every partition landed."""
         self._require_active("test")
         self.comm.cluster.progress()
         self._poll_binding()
-        return self._binding is not None and bool(self._arrived.all())
+        return self._binding is not None and bool(self._ready.all())
 
     def wait(self, max_rounds: int = 10_000) -> list[Any]:
         """Block until the epoch completes; returns the partition
@@ -356,14 +385,14 @@ class PrecvRequest(_PartitionedBase):
             if self.test():
                 break
         else:
-            missing = np.flatnonzero(~self._arrived).tolist()
+            missing = np.flatnonzero(~self._ready).tolist()
             raise RuntimeError(
                 f"partitioned receive did not complete after {max_rounds} "
                 f"progress rounds (binding "
                 f"{'matched' if self._binding else 'unmatched'}, missing "
                 f"partitions {missing[:8]}): likely deadlock")
         payloads = list(self._payloads)
-        self.router.release(self._channel, self.epoch)
+        self.router.release(self._binding["part_channel"], self.epoch)
         self._active = False
         self._binding_req = None
         return payloads

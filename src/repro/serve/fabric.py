@@ -50,12 +50,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-import numpy as np
-
 from ..core.envelope import ANY_SOURCE, EnvelopeBatch
 from ..core.result import NO_MATCH
 from ..mpi.communicator import check_app_tag
 from ..mpi.datatypes import clone_payload, payload_nbytes
+from ..mpi.partitioned import _PartitionedBase
 
 __all__ = ["FabricError", "FabricLink", "FabricFlush", "Fabric",
            "BridgeRequest", "CollectiveBridge",
@@ -384,10 +383,7 @@ class CollectiveBridge:
         self.comm_id = comm_id
         self.subs = list(plane.sub_tenants(tenant))
         self.fabric = Fabric(plane, link=link)
-        # partitioned-channel plane (driver-side, like payload tokens)
-        self._next_channel = 1
-        self._channels: dict[tuple[int, int], dict] = {}
-        self._pending_psends: list["BridgePsend"] = []
+        self._next_channel = 1  # partitioned channel ids
 
     @property
     def size(self) -> int:
@@ -463,11 +459,6 @@ class CollectiveBridge:
         superstep's end, and complete the receive handles from each
         sub-shard's match outcome."""
         plane = self.plane
-        # seal active partitioned epochs: their binding envelopes leave
-        # with this flush, so no further pready can ride them
-        pending, self._pending_psends = self._pending_psends, []
-        for ps in pending:
-            ps._fire()
         fl = self.fabric.flush()
         routed = plane.advance_to(fl.end_vt)
         routed += plane.drain()
@@ -503,112 +494,57 @@ class CollectiveBridge:
 
 
 # ---------------------------------------------------------------------------
-# Partitioned channels over the fabric
+# Partitioned channels over the fabric: the transport hooks of the
+# repro.mpi.partitioned state machine
 # ---------------------------------------------------------------------------
 
-class _BridgePartitionedBase:
-    """State shared by both sides of a fabric partitioned channel."""
-
-    def __init__(self, bridge: CollectiveBridge, partitions: int,
-                 tag: int) -> None:
-        if partitions < 1:
-            raise ValueError("partitions must be >= 1")
-        check_app_tag(tag)
-        self.bridge = bridge
-        self.partitions = partitions
-        self.tag = tag
-        self.epoch = 0
-        self._active = False
-
-    @property
-    def active(self) -> bool:
-        """Is an epoch in flight (``start()`` without ``wait()``)?"""
-        return self._active
-
-    def _require_active(self, op: str) -> None:
-        if not self._active:
-            raise RuntimeError(f"{op} on an inactive partitioned request; "
-                               "call start() first")
-
-    def _check_index(self, i: int) -> None:
-        if not 0 <= i < self.partitions:
-            raise IndexError(f"partition {i} out of range "
-                             f"(0..{self.partitions - 1})")
-
-
-class BridgePsend(_BridgePartitionedBase):
+class BridgePsend(_PartitionedBase):
     """Send side of a partitioned channel over the serve fabric.
 
     The MPI-4 match-once contract, mapped onto BSP supersteps: each
     ``start()`` queues exactly **one** binding envelope -- the epoch's
-    single matchable message -- and every ``pready`` piggybacks its
-    partition's bytes onto that envelope (charged in the pair batch's
-    wire time, invisible to matching).  Partition payloads stay
-    driver-side like every fabric payload token, which is what keeps
-    partitioned supersteps bit-identical between the in-process service
-    and the cluster, SIGKILL or no SIGKILL.
+    single matchable message -- and every fired partition piggybacks its
+    bytes onto that envelope (charged in the pair batch's wire time,
+    invisible to matching).  Partition payloads stay driver-side in the
+    envelope's token, like every fabric payload token, which is what
+    keeps partitioned supersteps bit-identical between the in-process
+    service and the cluster, SIGKILL or no SIGKILL.
 
     An epoch is one superstep: every partition must be fired before the
     flush that carries the binding (supersteps are stateless -- a
     late ``pready`` would have no envelope left to ride).
     """
 
+    _error = _count_error = FabricError
+
     def __init__(self, bridge: CollectiveBridge, src: int, dst: int,
                  partitions: int, tag: int = 0,
                  bytes_per_partition: int = 8) -> None:
-        super().__init__(bridge, partitions, tag)
+        super().__init__(partitions, tag)
         if bytes_per_partition < 0:
             raise ValueError("bytes_per_partition cannot be negative")
         bridge._check_rank(src)
         bridge._check_rank(dst)
+        self.bridge = bridge
         self.src = src
         self.dst = dst
         self.bytes_per_partition = bytes_per_partition
         self.channel = bridge._next_channel
         bridge._next_channel += 1
+        #: the epoch's binding token, plus its live ready mask and payloads
         self._state: dict | None = None
         self._wire: _Send | None = None
-        self._flushed = False
+        self._superstep = 0
 
     def start(self) -> "BridgePsend":
         """Activate one epoch: queue the single binding envelope."""
-        if self._active:
-            raise RuntimeError("start() on an already-active partitioned "
-                               "send; wait() the epoch first")
-        self.epoch += 1
-        self._active = True
-        self._flushed = False
-        bridge = self.bridge
-        self._state = {"partitions": self.partitions,
-                       "mask": np.zeros(self.partitions, dtype=bool),
-                       "payloads": [None] * self.partitions}
-        bridge._channels[(self.channel, self.epoch)] = self._state
-        token = {"part_channel": self.channel, "epoch": self.epoch,
-                 "partitions": self.partitions,
-                 "bytes_per_partition": self.bytes_per_partition}
-        self._wire = bridge.fabric.send(
-            bridge.subs[self.src], bridge.subs[self.dst], self.src,
-            self.tag, bridge.comm_id, token)
-        bridge._pending_psends.append(self)
+        self._start()
         return self
 
     def pready(self, i: int, payload: Any = None) -> None:
         """Fire partition ``i``: snapshot its payload and piggyback its
         bytes onto the epoch's binding envelope."""
-        self._require_active("pready")
-        self._check_index(i)
-        if self._flushed:
-            raise RuntimeError(
-                f"pready({i}) after the epoch's superstep flushed; on "
-                "the fabric an epoch is one superstep -- fire every "
-                "partition before waiting")
-        if self._state["mask"][i]:
-            raise RuntimeError(f"partition {i} already marked ready this "
-                               "epoch")
-        self._state["mask"][i] = True
-        self._state["payloads"][i] = clone_payload(payload)
-        self._wire.nbytes += max(self.bytes_per_partition,
-                                 payload_nbytes(payload))
+        self._pready(i, i + 1, (payload,), "pready")
 
     def pready_range(self, lo: int, hi: int, payloads: Any = None) -> None:
         """Fire partitions ``lo..hi-1`` (``MPI_Pready_range``).
@@ -618,100 +554,93 @@ class BridgePsend(_BridgePartitionedBase):
         work -- this is where the match-once amortization actually
         cashes out for bandwidth-shaped streams.
         """
-        if payloads is not None:
-            for i in range(lo, hi):
-                self.pready(i, payloads[i - lo])
-            return
-        self._require_active("pready_range")
-        if not 0 <= lo <= hi <= self.partitions:
-            raise IndexError(f"range [{lo}, {hi}) outside "
-                             f"{self.partitions} partitions")
-        if self._flushed:
-            raise RuntimeError(
-                f"pready_range({lo}, {hi}) after the epoch's superstep "
-                "flushed; on the fabric an epoch is one superstep -- "
-                "fire every partition before waiting")
-        mask = self._state["mask"]
-        if mask[lo:hi].any():
-            already = (lo + np.flatnonzero(mask[lo:hi])).tolist()
-            raise RuntimeError(f"partitions {already} already marked "
-                               "ready this epoch")
-        mask[lo:hi] = True
-        self._wire.nbytes += self.bytes_per_partition * (hi - lo)
+        self._pready(lo, hi, payloads)
 
     def wait(self) -> None:
         """Complete the epoch (driving the superstep if this side gets
         there first) and re-arm for the next ``start()``."""
         self._require_active("wait")
-        if not self._state["mask"].all():
-            missing = np.flatnonzero(~self._state["mask"])
-            raise FabricError(
-                f"wait() with partitions {missing.tolist()} never "
-                "pready'd; every partition must fire each epoch")
+        self._check_all_ready()
         if not self._flushed:
             self.bridge.step()
         self._active = False
 
-    def _fire(self) -> None:
-        self._flushed = True
+    @property
+    def _flushed(self) -> bool:
+        """Has the superstep carrying this epoch's binding run?"""
+        return self.bridge.fabric.supersteps > self._superstep
+
+    def _bind(self) -> None:
+        bridge = self.bridge
+        self._state = self._binding_token(self.channel,
+                                          self.bytes_per_partition)
+        self._state.update(mask=self._ready,
+                           payloads=[None] * self.partitions)
+        self._superstep = bridge.fabric.supersteps
+        self._wire = bridge.fabric.send(
+            bridge.subs[self.src], bridge.subs[self.dst], self.src,
+            self.tag, bridge.comm_id, self._state)
+
+    def _fire(self, lo: int, hi: int, payloads: Any) -> None:
+        if self._flushed:
+            raise RuntimeError(
+                f"partitions [{lo}, {hi}) fired after the epoch's "
+                "superstep flushed; on the fabric an epoch is one "
+                "superstep -- fire every partition before waiting")
+        if payloads is None:
+            self._wire.nbytes += self.bytes_per_partition * (hi - lo)
+            return
+        kept = self._state["payloads"]
+        for i in range(lo, hi):
+            payload = payloads[i - lo]
+            kept[i] = clone_payload(payload)
+            self._wire.nbytes += max(self.bytes_per_partition,
+                                     payload_nbytes(payload))
 
 
-class BridgePrecv(_BridgePartitionedBase):
+class BridgePrecv(_PartitionedBase):
     """Receive side of a partitioned channel over the serve fabric.
 
     Each ``start()`` posts exactly **one** receive; its match against
     the binding envelope is the epoch's single matching event, and the
-    routed token hands the receiver the channel's driver-side partition
-    payloads.  ``parrived(i)`` reports per-partition completion once the
-    superstep has run.
+    routed token hands the receiver the sender's ready mask and
+    driver-side partition payloads.  ``parrived(i)`` reports
+    per-partition completion once the superstep has run.
     """
+
+    _error = _count_error = FabricError
 
     def __init__(self, bridge: CollectiveBridge, dst: int, src: int,
                  partitions: int, tag: int = 0) -> None:
-        super().__init__(bridge, partitions, tag)
+        super().__init__(partitions, tag)
         bridge._check_rank(dst)
         bridge._check_rank(src)
+        self.bridge = bridge
         self.dst = dst
         self.src = src
         self._handle: BridgeRequest | None = None
-        self._bound: dict | None = None
-        self._bound_key: tuple[int, int] | None = None
+        self._payloads: list[Any] | None = None
 
     def start(self) -> "BridgePrecv":
         """Activate one epoch: post the single binding receive."""
-        if self._active:
-            raise RuntimeError("start() on an already-active partitioned "
-                               "receive; wait() the epoch first")
-        self.epoch += 1
-        self._active = True
-        self._bound = None
-        self._bound_key = None
-        self._handle = self.bridge.irecv(self.dst, self.src, self.tag)
+        self._start()
         return self
 
-    def _bind(self) -> dict:
-        """Validate the routed binding token against this request."""
-        if self._bound is not None:
-            return self._bound
-        token = self._handle._payload
-        if not isinstance(token, dict) or "part_channel" not in token:
-            raise FabricError(
-                "partitioned receive matched a non-partitioned send on "
-                f"tag {self.tag}; the channel tag must not be shared "
-                "with ordinary traffic")
-        if token["partitions"] != self.partitions:
-            raise FabricError(
-                f"partition count mismatch: sender declared "
-                f"{token['partitions']}, receiver {self.partitions}")
-        if token["epoch"] != self.epoch:
-            raise FabricError(
-                f"epoch skew on partitioned channel "
-                f"{token['part_channel']}: sender epoch {token['epoch']}, "
-                f"receiver epoch {self.epoch} -- both sides must start() "
-                "each epoch exactly once")
-        self._bound_key = (token["part_channel"], token["epoch"])
-        self._bound = self.bridge._channels[self._bound_key]
-        return self._bound
+    def _bind(self) -> None:
+        self._payloads = None
+        self._handle = self.bridge.irecv(self.dst, self.src, self.tag)
+
+    def _landed(self) -> bool:
+        """Has the epoch's superstep run?  The first time it has, check
+        the routed binding token and adopt the sender's (now final)
+        ready mask and payloads."""
+        if not self._handle.done:
+            return False
+        if self._payloads is None:
+            token = self._handle._payload
+            self._check_binding(token)
+            self._ready, self._payloads = token["mask"], token["payloads"]
+        return True
 
     def parrived(self, i: int) -> bool:
         """Has partition ``i``'s data landed (i.e. the epoch's superstep
@@ -720,9 +649,7 @@ class BridgePrecv(_BridgePartitionedBase):
         boundary."""
         self._require_active("parrived")
         self._check_index(i)
-        if not self._handle.done:
-            return False
-        return bool(self._bind()["mask"][i])
+        return self._landed() and bool(self._ready[i])
 
     def wait(self) -> list[Any]:
         """Block until the epoch completes (driving the superstep if
@@ -730,15 +657,9 @@ class BridgePrecv(_BridgePartitionedBase):
         for the next ``start()``."""
         self._require_active("wait")
         self._handle.wait()
-        state = self._bind()
-        if not state["mask"].all():
-            missing = np.flatnonzero(~state["mask"]).tolist()
-            raise FabricError(
-                f"partitions {missing[:8]} never fired before the "
-                "epoch's superstep flushed; on the fabric an epoch is "
-                "one superstep")
-        payloads = list(state["payloads"])
-        self.bridge._channels.pop(self._bound_key, None)
+        self._landed()
+        self._check_all_ready()
+        payloads = list(self._payloads)
         self._active = False
         self._handle = None
         return payloads

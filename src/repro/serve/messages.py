@@ -222,11 +222,6 @@ class Ticket:
         """The request was not admitted (any non-accepted outcome)."""
         return self.status in (RETRYABLE, OVERLOADED, MIGRATING)
 
-    @property
-    def retry_hinted(self) -> bool:
-        """The shed came with a deterministic virtual-time retry hint."""
-        return self.status in (RETRYABLE, MIGRATING)
-
 
 @dataclass
 class FlushResult:

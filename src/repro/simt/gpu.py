@@ -105,11 +105,6 @@ class GPUSpec:
         """Threads per warp (32 on every simulated generation)."""
         return 32
 
-    @property
-    def max_threads_per_sm(self) -> int:
-        """Thread residency limit per SM."""
-        return self.max_warps_per_sm * self.warp_size
-
     def issue_cost(self, kind: str) -> float:
         """Scheduler occupancy in cycles for one warp instruction of ``kind``."""
         return self.issue_cycles.get(kind, 1.0)

@@ -229,11 +229,6 @@ class Warp:
         """Lane indices ``[0, warp_size)``."""
         return lane_ids(self.warp_size)
 
-    def activemask(self) -> int:
-        """CUDA ``__activemask()``: ballot of currently active lanes."""
-        self._issue("alu")
-        return pack_ballot(self.active)
-
     def push_mask(self, predicate: np.ndarray) -> np.ndarray:
         """Enter a divergent branch: returns the previous mask; active lanes
         become ``active & predicate``.  Pair with :meth:`pop_mask`."""

@@ -1,9 +1,11 @@
 """Smoke coverage for the ``benchmarks/`` suite and the host-perf sweep.
 
-Three contracts:
+Four contracts:
 
 * every ``bench_*.py`` script must at least import (a bench that dies on
   import silently drops a paper figure from CI);
+* the ledger's span table must import with every target pristine (a
+  wrapped method moved into a base class breaks the ledger's import);
 * :func:`repro.bench.regression.run_suite` times every matcher and
   matches the whole workload;
 * ``bench_host_perf.py --trace-out`` must emit a Chrome/Perfetto
@@ -51,6 +53,14 @@ def test_bench_script_imports(path):
     _load(path)  # import errors (stale APIs, renamed modules) fail here
     assert 'if __name__ == "__main__":' in path.read_text(), \
         f"{path.stem} is not runnable as a script"
+
+
+def test_ledger_span_targets_are_pristine():
+    """The ledger wraps only methods its targets define themselves (its
+    import raises on an inherited one), so moving a wrapped method into
+    a base class fails here and not only in the ledger run."""
+    spans = _load(BENCH_DIR / "ledger" / "spans.py")
+    assert spans.pristine()
 
 
 # -- the host-perf sweep ------------------------------------------------------

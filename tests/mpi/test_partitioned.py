@@ -136,6 +136,17 @@ class TestErrorPaths:
         with pytest.raises(IndexError):
             ps.pready(2)
 
+    def test_pready_range_is_all_or_nothing(self):
+        comm = make_comm(2)
+        ps = psend_init(comm, 0, 1, partitions=4).start()
+        with pytest.raises(IndexError):
+            ps.pready_range(0, 5)
+        with pytest.raises(IndexError):
+            ps.pready_range(3, 1)
+        assert not ps._ready.any()
+        comm.cluster.drain()
+        assert comm.cluster.partitioned.stats()["frames_total"] == 0
+
     def test_wait_requires_every_partition_fired(self):
         comm = make_comm(2)
         ps = psend_init(comm, 0, 1, partitions=3).start()
@@ -152,6 +163,18 @@ class TestErrorPaths:
         for i in range(4):
             ps.pready(i)
         with pytest.raises(ValueError, match="mismatch"):
+            pr.wait()
+
+    def test_epoch_skew_detected(self):
+        comm = make_comm(2)
+        ps = psend_init(comm, 0, 1, partitions=2, tag=6)
+        pr = precv_init(comm, 1, 0, partitions=2, tag=6)
+        pr.epoch = 3  # receiver thinks it is ahead
+        ps.start()
+        pr.start()
+        ps.pready_range(0, 2)
+        ps.wait()
+        with pytest.raises(RuntimeError, match="epoch skew"):
             pr.wait()
 
     def test_binding_tag_shared_with_plain_traffic(self):

@@ -138,6 +138,17 @@ class TestErrorPaths:
         with pytest.raises(IndexError):
             ps.pready_range(-1, 2)
 
+    def test_pready_range_is_all_or_nothing(self):
+        bridge = CollectiveBridge(make_service(2), "mpi")
+        ps = bridge.psend_init(0, 1, 4, tag=1).start()
+        bridge.precv_init(1, 0, 4, tag=1).start()
+        with pytest.raises(IndexError):
+            ps.pready_range(0, 5, payloads=list("abcde"))
+        with pytest.raises(IndexError):
+            ps.pready_range(3, 1, payloads=[])
+        assert not ps._state["mask"].any()
+        assert ps._wire.nbytes == 0
+
     def test_partition_count_mismatch(self):
         bridge = CollectiveBridge(make_service(2), "mpi")
         ps = bridge.psend_init(0, 1, 4, tag=5)
