@@ -278,13 +278,11 @@ class EnvelopeBatch:
     def packed(self) -> np.ndarray:
         """Vectorized :func:`pack64`; requires a concrete batch.
 
-        Packs into int64; values with the comm high bit set would not fit,
-        but communicator ids are validated to 16 bits so the result always
-        fits in the signed range for comm < 2**15.  We keep comm values
-        small in practice; overflow is checked.  So are ``src`` and
-        ``tag`` against their field widths: a :meth:`view`-built batch
-        skips ``__init__``'s checks, and a tag of ``2**16`` would spill
-        into the source field and alias another tuple's key.
+        Holds :func:`pack64`'s bits as int64 for every comm up to
+        :data:`MAX_COMM` (a comm of ``2**15`` or more reads negative).
+        Each field is checked against its width: a :meth:`view`-built
+        batch skips ``__init__``'s checks, and a tag of ``2**16`` would
+        spill into the source field and alias another tuple's key.
 
         The result is cached on the batch and propagated through views
         (:meth:`view`, :meth:`take`, slicing, :meth:`concatenate`), so a
@@ -292,11 +290,13 @@ class EnvelopeBatch:
         """
         if self._packed is None:
             self.assert_concrete("packed() input")
-            if (self.comm >= 2**15).any():
-                raise ValueError("comm too large for signed 64-bit packing")
-            if (self.src > MAX_SRC).any() or (self.tag > MAX_TAG).any():
-                raise ValueError("src or tag too wide for its packed field")
-            self._packed = (self.comm << 48) | (self.src << 16) | self.tag
+            if ((self.src > MAX_SRC).any() or (self.tag > MAX_TAG).any()
+                    or (self.comm > MAX_COMM).any()):
+                raise ValueError("field too wide for its packed width")
+            u64 = np.uint64
+            self._packed = ((self.comm.astype(u64) << u64(48))
+                            | (self.src.astype(u64) << u64(16))
+                            | self.tag.astype(u64)).view(np.int64)
         return self._packed
 
     def match_matrix(self, requests: "EnvelopeBatch") -> np.ndarray:

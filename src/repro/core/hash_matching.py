@@ -428,8 +428,12 @@ class HashMatcher:
         if n_msg == 0 or n_req == 0:
             return self._finish(out, n_msg, n_req, ledger, 0, 0)
 
-        msg_keys = messages.packed() + 1   # 0 = empty sentinel
-        req_keys = requests.packed() + 1
+        # Packed words take all 2**64 values, so the tables store each key's
+        # rank among the batch's keys plus one; 0 stays the empty sentinel.
+        msg_words, req_words = messages.packed(), requests.packed()
+        _, key_ids = np.unique(np.concatenate([msg_words, req_words]),
+                               return_inverse=True)
+        msg_keys, req_keys = key_ids[:n_msg] + 1, key_ids[n_msg:] + 1
         P, S = self.config.sizes(max(n_msg, n_req))
         san = self._san
         if san is not None:
@@ -447,8 +451,8 @@ class HashMatcher:
                        "keys_secondary", "vals_secondary"):
             mem.memset(region, 0)
 
-        def level_params(keys, salt, base_k, base_v, size):
-            folded = fold64(keys - 1)
+        def level_params(words, salt, base_k, base_v, size):
+            folded = fold64(words)
             hashed = self._hash(folded ^ salt) if salt else self._hash(folded)
             slots = hashed % size
             return base_k + slots, base_v + slots
@@ -471,7 +475,7 @@ class HashMatcher:
                     todo = ~placed
                     if not todo.any():
                         break
-                    ka, va = level_params(keys, salt, bk, bv, size)
+                    ka, va = level_params(req_words[lanes], salt, bk, bv, size)
                     won = mem.atomic_cas(ka, np.zeros(lanes.size,
                                                       dtype=np.int64),
                                          keys, active=todo)
@@ -492,7 +496,7 @@ class HashMatcher:
                     todo = ~matched
                     if not todo.any():
                         break
-                    ka, va = level_params(keys, salt, bk, bv, size)
+                    ka, va = level_params(msg_words[lanes], salt, bk, bv, size)
                     stored = mem.load(ka)
                     hit = todo & (stored == keys)
                     if not hit.any():

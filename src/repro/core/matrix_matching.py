@@ -23,23 +23,22 @@ the scan warps fill the next.  The pipelining collapses at 1024 messages
 Two interchangeable implementations are provided:
 
 * :meth:`MatrixMatcher.match` -- array-native fast path, split into
-  *matching* and *pricing*.  :func:`match_blocks` scans one message block
-  at a time (peak memory O(block x open columns), never the full dense
-  matrix) and resolves whole batches of reduce columns per NumPy step,
-  falling back to a scalar pick only inside a conflicting group (two
-  columns bidding on the same warp-word).  :func:`charge_matrix` then
-  prices the execution from the request->message vector alone: what the
-  reduce walks in each block -- the columns it visits and the messages
-  it matches -- follows from where every request matched.  The
-  rank-partitioned matcher calls both per queue.  Used by benchmarks.
+  *matching* and *pricing*.  :func:`match_vector` computes the
+  request->message vector the two phases produce from sorted keys,
+  without a vote matrix.  :func:`charge_matrix` then prices the
+  execution from that vector alone: what the reduce walks in each block
+  -- the columns it visits and the messages it matches -- follows from
+  where every request matched.  The rank-partitioned matcher shares
+  both.  Used by benchmarks.
 * :meth:`MatrixMatcher.match_pedantic` -- executes Algorithms 1 and 2
   verbatim on the :class:`~repro.simt.cta.CTA` / :class:`~repro.simt.warp.Warp`
   simulator, one warp instruction at a time.  Used by tests to validate
   the fast path (identical assignments).
 
-``tests/core/test_fastpath_equivalence.py`` holds the per-column scalar
-reduce, with its per-column charging, as the reference the fast path is
-asserted bit-identical to (match vector and per-op ledger totals).
+``tests/core/test_fastpath_equivalence.py`` holds the blockwise scan and
+per-column scalar reduce, with its per-column charging, as the reference
+the fast path is asserted bit-identical to (match vector and per-op
+ledger totals).
 """
 
 from __future__ import annotations
@@ -53,20 +52,16 @@ from ..simt.gpu import GPUSpec, PASCAL_GTX1080
 from ..simt.memory import SMEM_WORD_BYTES
 from ..simt.timing import CostLedger, TimingModel
 from ..simt.warp import WARP_SIZE, ffs32, full_active
-from .envelope import EnvelopeBatch
+from .envelope import ANY_SOURCE, ANY_TAG, MAX_SRC, MAX_TAG, EnvelopeBatch
 from .result import NO_MATCH, MatchOutcome
 
-__all__ = ["MatrixMatcher", "DEFAULT_WINDOW"]
+__all__ = ["MatrixMatcher", "DEFAULT_WINDOW", "match_vector"]
 
 #: Receive-request columns scanned per pipeline stage.  32 warps x 64
 #: columns of int32 votes = 8 KiB of shared memory per buffer; double
 #: buffering for the scan/reduce pipeline stays well under the 48 KiB
 #: per-CTA limit.
 DEFAULT_WINDOW = 64
-
-#: Columns the batched reduce resolves per vectorized step.  Purely a
-#: host-side knob: any value produces the same matches and ledger.
-REDUCE_BATCH = 256
 
 
 class MatrixMatcher:
@@ -160,14 +155,14 @@ class MatrixMatcher:
         """
         messages.assert_concrete("message queue")
         block = self.messages_per_iteration
-        out = match_blocks(messages, requests, block, self.warp_size,
-                           self._obs)
+        out = match_vector(messages, requests)
         n_blocks, visited = charge_matrix(ledger, out, len(messages), block,
                                           self.warp_size, self.window)
         if n_blocks == 0:
             return out, 0
         if self._obs is not None:
             self._obs.count("matrix.columns_visited", float(visited))
+            _observe_votes(self._obs, messages, requests, out, block)
         if self.compaction and self._should_compact(out, len(requests)):
             self._charge_compaction(ledger, len(messages), len(requests))
         return out, n_blocks
@@ -336,115 +331,92 @@ class MatrixMatcher:
         return False
 
 
-def match_blocks(messages: EnvelopeBatch, requests: EnvelopeBatch,
-                 block: int, warp_size: int, obs=None) -> np.ndarray:
-    """Blockwise scan plus batched reduce: the request->message vector.
+#: The packed-key bits a request compares, by wildcard kind (0 none,
+#: 1 ``ANY_SOURCE``, 2 ``ANY_TAG``, 3 both).
+_KIND_MASKS = np.array([-1, ~(MAX_SRC << 16), ~MAX_TAG,
+                        ~((MAX_SRC << 16) | MAX_TAG)], dtype=np.int64)
 
-    Each ``block`` of messages is scanned against the still-open request
-    columns only, so peak memory is O(block x open columns), never
-    O(n_msg x n_req).  Pricing is separate: see :func:`charge_matrix`.
+
+def match_vector(messages: EnvelopeBatch,
+                 requests: EnvelopeBatch) -> np.ndarray:
+    """The MPI-compliant request->message vector of a matrix match.
+
+    Requests are taken in posted order and each takes the earliest
+    message it accepts that no earlier request took: the assignment the
+    scan and ordered reduce produce block by block (Section V).  Memory
+    is O(n_msg + n_req); pricing is separate (:func:`charge_matrix`).
     """
-    n_msg, n_req = len(messages), len(requests)
-    out = np.full(n_req, NO_MATCH, dtype=np.int64)
-    if n_msg == 0 or n_req == 0:
+    out = np.full(len(requests), NO_MATCH, dtype=np.int64)
+    if len(messages) == 0 or len(requests) == 0:
         return out
-    unmatched_cols = np.ones(n_req, dtype=bool)
-    for lo in range(0, n_msg, block):
-        hi = min(lo + block, n_msg)
-        open_idx = np.nonzero(unmatched_cols)[0]
-        block_mtx = messages.match_block(requests[open_idx], lo, hi)
-        votes = _pack_block_votes(block_mtx, math.ceil((hi - lo) / warp_size),
-                                  warp_size)
-        if obs is not None:
-            obs.count("matrix.blocks")
-            if block_mtx.size:
-                obs.observe("matrix.vote_occupancy",
-                            float(np.count_nonzero(block_mtx)) / block_mtx.size)
-        _reduce_block(votes, open_idx, unmatched_cols, out, lo, hi - lo,
-                      warp_size)
-        if not unmatched_cols.any():
-            break
-    return out
-
-
-def _reduce_block(votes: np.ndarray, open_idx: np.ndarray,
-                  unmatched_cols: np.ndarray, out: np.ndarray, msg_base: int,
-                  block_msgs: int, warp_size: int) -> None:
-    """Batched sequential column reduce of one message block.
-
-    The modeled GPU walks columns one by one; only the *host* resolves
-    them in batches: each column, in posted order, matches the
-    lowest-numbered still-unconsumed message among its candidates.
-    Columns of a batch are independent unless two of them bid on the
-    same warp-word bit, so a batch commits the conflict-free prefix of
-    its picks in one vectorized step and falls back to a scalar pick only
-    for the first column of a conflicting group.  The loop stops once the
-    block's messages are all consumed: no later column can match.
-    """
-    n_warps = votes.shape[0]
-    mask = np.full(n_warps, (1 << warp_size) - 1, dtype=np.int64)
-    n_open = int(open_idx.size)
-    matched = 0
-    pos = 0
-    while pos < n_open and matched < block_msgs:
-        end = min(pos + REDUCE_BATCH, n_open)
-        b = end - pos
-        masked = votes[:, pos:end] & mask[:, None]
-        has = masked.any(axis=0)
-        if not has.any():
-            pos = end
-            continue
-        # Per-column pick under the batch-entry mask: first warp with a
-        # candidate (ffs over the lane ballot), then the lowest set bit of
-        # its vote word (ffs within the word) -- i.e. the minimum message
-        # id among the column's candidates.
-        first_warp = np.argmax(masked != 0, axis=0)
-        word = masked[first_warp, np.arange(b)]
-        lane = np.zeros(b, dtype=np.int64)
-        low = word[has] & -word[has]
-        # exact: low is a power of two <= 2**31
-        lane[has] = np.log2(low.astype(np.float64)).astype(np.int64)
-        pick = np.where(has, first_warp * warp_size + lane, -1)
-        # A pick is wrong only if an *earlier* column of the batch consumed
-        # the same message: find the first duplicated pick.  (If an earlier
-        # column consumed a non-minimum candidate of a later column, the
-        # later column's minimum -- its pick -- is untouched, so distinct
-        # picks are exactly the sequential result.)
-        order = np.argsort(pick, kind="stable")
-        sorted_pick = pick[order]
-        dup_sorted = np.zeros(b, dtype=bool)
-        dup_sorted[1:] = ((sorted_pick[1:] == sorted_pick[:-1])
-                          & (sorted_pick[1:] >= 0))
-        is_dup = np.zeros(b, dtype=bool)
-        is_dup[order] = dup_sorted
-        take = int(np.argmax(is_dup)) if is_dup.any() else b
-        sel = np.nonzero(has[:take])[0]
-        if sel.size:
-            picks = pick[sel]
-            cols = open_idx[pos + sel]
-            out[cols] = msg_base + picks
-            unmatched_cols[cols] = False
-            consumed = np.zeros(n_warps, dtype=np.int64)
-            np.bitwise_or.at(consumed, picks // warp_size,
-                             np.int64(1) << (picks % warp_size))
-            mask &= ~consumed
-            matched += int(sel.size)
-        pos += take
-        if take < b:
-            # Scalar pick for the first column of the conflicting group;
-            # the rest of the batch re-bids under the updated mask on the
-            # next pass.
-            col_word = votes[:, pos] & mask
-            bidders = np.nonzero(col_word)[0]
-            if bidders.size:
-                w = int(bidders[0])
-                lane_match = ffs32(int(col_word[w])) - 1
-                j = open_idx[pos]
-                out[j] = msg_base + w * warp_size + lane_match
-                mask[w] &= ~(1 << lane_match)
-                unmatched_cols[j] = False
-                matched += 1
+    if not requests.has_wildcards:
+        # Per-key FIFO: the k-th request of a key takes the k-th message
+        # of that key, if there is one.
+        req_keys = requests.packed()
+        req_order = np.argsort(req_keys, kind="stable")
+        ranked = req_keys[req_order]
+        msg_order, lo, hi = _key_runs(messages.packed(), ranked)
+        pos = lo + np.arange(ranked.size) - np.searchsorted(ranked, ranked)
+        hit = pos < hi
+        out[req_order[hit]] = msg_order[pos[hit]]
+        return out
+    # Posted order matters now: walk the requests once.  Each (wildcard
+    # kind, key) run of the key-sorted messages keeps a head pointer that
+    # only moves past taken messages, so everything before it is taken.
+    kind = (requests.src == ANY_SOURCE) + 2 * (requests.tag == ANY_TAG)
+    keys = EnvelopeBatch.view(requests.src & MAX_SRC, requests.tag & MAX_TAG,
+                              requests.comm).packed() & _KIND_MASKS[kind]
+    orders, lo, hi = [], np.empty_like(keys), np.empty_like(keys)
+    for k in np.unique(kind):
+        sel = kind == k
+        order, lo[sel], hi[sel] = _key_runs(
+            messages.packed() & _KIND_MASKS[k], keys[sel],
+            len(orders) * len(messages))
+        orders.append(order)
+    order = np.concatenate(orders).tolist()
+    head = list(range(len(order) + 1))  # a run's head: its first entry
+    taken = bytearray(len(messages))
+    picks = out.tolist()
+    for j, (start, end) in enumerate(zip(lo.tolist(), hi.tolist())):
+        pos = head[start]
+        while pos < end and taken[order[pos]]:
             pos += 1
+        if pos < end:
+            taken[order[pos]] = 1
+            picks[j] = order[pos]
+            pos += 1
+        head[start] = pos
+    return np.array(picks, dtype=np.int64)
+
+
+def _key_runs(msg_keys: np.ndarray, req_keys: np.ndarray,
+              base: int = 0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable key sort of the messages, and the ``[lo, hi)`` run of each
+    request's key in it (empty when no message carries the key), offset
+    by ``base``."""
+    order = np.argsort(msg_keys, kind="stable")
+    ranked = msg_keys[order]
+    return (order, base + np.searchsorted(ranked, req_keys, "left"),
+            base + np.searchsorted(ranked, req_keys, "right"))
+
+
+def _observe_votes(obs, messages: EnvelopeBatch, requests: EnvelopeBatch,
+                   out: np.ndarray, block: int) -> None:
+    """``matrix.blocks`` and ``matrix.vote_occupancy`` of the modeled scan:
+    block ``b`` votes the open columns (requests whose match lies in a
+    block >= ``b``, or that have none) until no column is open."""
+    n_msg = len(messages)
+    n_blocks = math.ceil(n_msg / block)
+    match_block = np.where(out == NO_MATCH, n_blocks, out // block)
+    for b in range(n_blocks):
+        open_idx = np.nonzero(match_block >= b)[0]
+        if open_idx.size == 0:
+            break
+        votes = messages.match_block(requests[open_idx], b * block,
+                                     min((b + 1) * block, n_msg))
+        obs.count("matrix.blocks")
+        obs.observe("matrix.vote_occupancy",
+                    float(np.count_nonzero(votes)) / votes.size)
 
 
 def charge_matrix(ledger: CostLedger, out: np.ndarray, n_msg: int,
@@ -537,24 +509,6 @@ def check_window(spec: GPUSpec, warps_per_cta: int, window: int) -> None:
             f"window {window} needs {smem_needed} B of shared memory "
             f"for the double-buffered vote matrix; {spec.name} allows "
             f"{spec.shared_mem_per_cta} B per CTA")
-
-
-def _pack_block_votes(block_matrix: np.ndarray, n_warps: int,
-                      warp_size: int = WARP_SIZE) -> np.ndarray:
-    """Collapse a (block_msgs x n_req) boolean matrix into per-warp vote words.
-
-    Accumulates one lane at a time so the largest temporary is a single
-    (n_warps x n_req) int64 plane, not an (n_warps x warp_size x n_req)
-    cube.
-    """
-    n_block, n_req = block_matrix.shape
-    padded = np.zeros((n_warps * warp_size, n_req), dtype=bool)
-    padded[:n_block] = block_matrix
-    lanes = padded.reshape(n_warps, warp_size, n_req)
-    votes = np.zeros((n_warps, n_req), dtype=np.int64)
-    for lane in range(warp_size):
-        votes |= lanes[:, lane, :].astype(np.int64) << np.int64(lane)
-    return votes
 
 
 def _accepts_vector(req, messages: EnvelopeBatch, lane_msg: np.ndarray,

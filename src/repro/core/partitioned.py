@@ -23,11 +23,12 @@ in the same queue, and within a queue the matrix matcher preserves queue
 order, so MPI's non-overtaking guarantee still holds — only
 ``MPI_ANY_SOURCE`` is lost.  Tag wildcards remain legal.
 
-One stable sort by queue id turns every queue into a contiguous slice of
-the messages and of the requests.  Each queue is matched by
-:func:`~repro.core.matrix_matching.match_blocks` at its own block size
-and priced by :func:`~repro.core.matrix_matching.charge_matrix` from its
-match vector; the launch then combines the per-queue cycle totals.
+Every key, and every legal wildcard's candidates, lives in one queue, so
+one :func:`~repro.core.matrix_matching.match_vector` call over the whole
+batch gives every queue's own match.  One stable sort by queue id then
+slices each queue's part of that vector for
+:func:`~repro.core.matrix_matching.charge_matrix` to price at the
+queue's block size; the launch combines the per-queue cycle totals.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from ..simt.timing import CostLedger, SYNC_OVERHEAD_CYCLES, TimingModel
 from ..simt.warp import WARP_SIZE
 from .envelope import ANY_SOURCE, EnvelopeBatch
 from .matrix_matching import (DEFAULT_WINDOW, charge_matrix, check_window,
-                              match_blocks)
+                              match_vector)
 from .result import NO_MATCH, MatchOutcome
 
 __all__ = ["PartitionedMatcher", "COORDINATION_OVERHEAD_CYCLES"]
@@ -137,7 +138,7 @@ class PartitionedMatcher:
 
     def match(self, messages: EnvelopeBatch,
               requests: EnvelopeBatch) -> MatchOutcome:
-        """Partition, match every queue, and price the concurrent execution."""
+        """Match, partition, and price the concurrent queue execution."""
         messages.assert_concrete("message queue")
         if self.partition_key == "src" and (requests.src == ANY_SOURCE).any():
             raise ValueError(
@@ -148,7 +149,7 @@ class PartitionedMatcher:
                 "tag-partitioned matching requires the no-tag-wildcard "
                 "relaxation; requests use MPI_ANY_TAG")
         n_msg, n_req = len(messages), len(requests)
-        out = np.full(n_req, NO_MATCH, dtype=np.int64)
+        out = match_vector(messages, requests)
         if n_msg == 0 or n_req == 0:
             empty = CostLedger()
             timing = TimingModel(self.spec).evaluate(empty)
@@ -162,7 +163,11 @@ class PartitionedMatcher:
         queues = np.arange(self.n_queues + 1)
         msg_bounds = np.searchsorted(msg_q[msg_order], queues).tolist()
         req_bounds = np.searchsorted(req_q[req_order], queues).tolist()
-        msgs, reqs = messages[msg_order], requests[req_order]
+        # each message's index within its queue; an unmatched request
+        # (NO_MATCH, i.e. -1) reads the trailing NO_MATCH
+        local_of = np.full(n_msg + 1, NO_MATCH, dtype=np.int64)
+        local_of[msg_order] = (np.arange(n_msg)
+                               - np.asarray(msg_bounds)[msg_q[msg_order]])
         queue_cycles: list[float] = []
         queue_meta: dict[str, dict] = {}
         iterations = 0
@@ -177,10 +182,7 @@ class PartitionedMatcher:
             warps_q = min(MAX_WARPS_PER_CTA,
                           max(1, math.ceil(n_m / self.warp_size)))
             block = warps_q * self.warp_size
-            local = match_blocks(msgs[m_lo:m_hi], reqs[r_lo:r_hi], block,
-                                 self.warp_size)
-            hit = np.nonzero(local != NO_MATCH)[0]
-            out[req_order[r_lo + hit]] = msg_order[m_lo + local[hit]]
+            local = local_of[out[req_order[r_lo:r_hi]]]
             # Compaction is charged once at full CTA width in _combine, not
             # per queue (a 1-warp queue compacting alone would be absurdly
             # latency-bound).

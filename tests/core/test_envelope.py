@@ -119,6 +119,19 @@ class TestEnvelopeBatch:
         packable = EnvelopeBatch(src=[MAX_SRC], tag=[MAX_TAG])
         assert int(packable.packed()[0]) == pack64(MAX_SRC, MAX_TAG)
 
+    def test_packed_covers_every_comm(self):
+        """A comm of ``2**15`` or more packs too: the key column holds
+        :func:`pack64`'s 64 bits as int64, so it reads negative, and the
+        all-maximum envelope reads -1."""
+        b = EnvelopeBatch(src=[5, 5, MAX_SRC], tag=[1, 1, MAX_TAG],
+                          comm=[2**15 - 1, 40000, MAX_COMM])
+        words = [pack64(5, 1, 2**15 - 1), pack64(5, 1, 40000),
+                 pack64(MAX_SRC, MAX_TAG, MAX_COMM)]
+        want = np.array(words, dtype=np.uint64).view(np.int64)
+        assert np.array_equal(b.packed(), want)
+        assert b.packed()[0] == words[0]
+        assert b.packed()[2] == -1
+
     @pytest.mark.parametrize("src, tag", [(0, MAX_TAG + 1),
                                           (MAX_SRC + 1, 0)])
     def test_view_built_overflow_raises_from_packed(self, src, tag):

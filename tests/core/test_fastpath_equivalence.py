@@ -1,14 +1,14 @@
 """Equivalence suite: array-native fast paths vs their scalar references.
 
-The fast paths (batched reduce, blockwise scan, matrix pricing from the
-match vector, one-sort queue partitioning, precomputed hash slots,
+The fast paths (the key-sorted matrix match vector, matrix pricing from
+that vector, one-sort queue partitioning, precomputed hash slots,
 vectorized atomic CAS) are only admissible if they are *bit-identical*
 to the scalar code they replaced: same match vectors AND same CostLedger
 op totals, on every workload shape.  The matrix references live here:
 the per-column reduce of Algorithm 2 with its per-column charging, the
 blockwise loop that charges each block's scan from the columns its
 reduce visited, and the per-queue partitioned loop over them.  This
-suite pins that invariant down, plus the blockwise-scan memory bound.
+suite pins that invariant down, plus the fast path's memory bound.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import pytest
 
 from repro.bench.harness import (matching_workload, ordered_workload,
                                  partial_workload, reversed_workload)
-from repro.core.envelope import ANY_SOURCE, ANY_TAG, EnvelopeBatch
+from repro.core.envelope import ANY_SOURCE, ANY_TAG, MAX_COMM, EnvelopeBatch
 from repro.core.hash_matching import HashMatcher
 from repro.core.matrix_matching import MatrixMatcher
 from repro.core.partitioned import PartitionedMatcher
@@ -217,8 +217,8 @@ def test_matrix_batched_equals_scalar(workload, n, seed):
 
 @pytest.mark.parametrize("warps_per_cta,window", [(2, 8), (4, 16)])
 def test_matrix_batched_equals_scalar_small_blocks(warps_per_cta, window):
-    """Non-default geometry: many tiny blocks exercise the early-exit and
-    re-bid paths of the batched reduce."""
+    """Non-default geometry: many tiny blocks exercise the early exit
+    that pricing derives from the match vector."""
     assert_matrix_equals_reference(*reversed_workload(700, seed=3),
                                    warps_per_cta=warps_per_cta, window=window)
 
@@ -229,27 +229,58 @@ def test_matrix_batched_equals_scalar_narrow_warps(warp_size):
                                    warp_size=warp_size)
 
 
-def random_queues(rng, key, big):
+#: Wildcard densities of the random differentials: none, one request,
+#: every other request, every request.
+DENSITIES = ("none", "one", "alternate", "all")
+
+#: Communicators the random differentials draw from: 2**15 and up set
+#: the packed key's top bit.
+COMMS = (0, 1, 2**15, MAX_COMM)
+
+
+def random_queues(rng, key, big, density):
     """Messages and a shuffled, partly unmatched, partly wildcarded
     request queue.  ``big`` sends half the messages to one partition-key
-    value, so a queue holds more than 1024 messages."""
+    value, so a queue holds more than 1024 messages.  ``key`` is the
+    field a wildcard may not touch (``None``: either or both may be
+    wildcarded).  One extra concrete request carries a key no message
+    has, which sorts just before a key that messages do have."""
     n = int(rng.integers(2200, 3000)) if big else int(rng.integers(1, 700))
     n_ranks, n_tags = int(rng.integers(1, 65)), int(rng.integers(1, 17))
     src = rng.integers(0, n_ranks, size=n)
-    tag = rng.integers(0, n_tags, size=n)
+    tag = rng.integers(1, n_tags + 1, size=n)  # tag 0 stays free
     if big:
-        (src if key == "src" else tag)[rng.random(n) < 0.5] = 0
-    msgs = EnvelopeBatch(src, tag, rng.integers(0, 2, size=n))
+        hot = rng.random(n) < 0.5
+        if key == "src":
+            src[hot] = 0
+        else:
+            tag[hot] = 1
+    comm = rng.choice(COMMS[:int(rng.integers(1, len(COMMS) + 1))], size=n)
+    msgs = EnvelopeBatch(src, tag, comm)
     reqs = msgs.take(rng.permutation(n)[:int(rng.integers(1, n + 1))])
-    dead = rng.random(len(reqs)) < 0.2
-    wild = rng.random(len(reqs)) < 0.2
+    n_req = len(reqs)
+    dead = rng.random(n_req) < 0.2
+    wild = np.zeros(n_req, dtype=bool)
+    if density == "one":
+        wild[rng.integers(n_req)] = True
+    elif density == "alternate":
+        wild[::2] = True
+    elif density == "all":
+        wild[:] = True
+    field = rng.integers(0, 3, size=n_req)  # 0 source, 1 tag, 2 both
+    if key is not None:
+        field[:] = 1 if key == "src" else 0
     req_src = np.where(dead, n_ranks + 10_000, reqs.src)
-    req_tag = reqs.tag
-    if key == "src":
-        req_tag = np.where(wild, ANY_TAG, req_tag)
-    else:
-        req_src = np.where(wild, ANY_SOURCE, req_src)
-    return msgs, EnvelopeBatch(req_src, req_tag, reqs.comm)
+    req_src = np.where(wild & (field != 1), ANY_SOURCE, req_src)
+    req_tag = np.where(wild & (field != 0), ANY_TAG, reqs.tag)
+    # (comm, src, tag - 1) of the lowest-tag message: absent, and the key
+    # right before (comm, src, tag) in packed order
+    low = int(np.argmin(msgs.tag))
+    at = int(rng.integers(0, n_req + 1))
+    return msgs, EnvelopeBatch(
+        np.insert(req_src, at, msgs.src[low]),
+        np.insert(req_tag, at, msgs.tag[low] - 1),
+        np.insert(reqs.comm, at, msgs.comm[low]))
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -258,7 +289,8 @@ def test_matrix_random_differential(seed):
     kw = dict(warps_per_cta=int(rng.integers(1, MAX_WARPS_PER_CTA + 1)),
               window=int(rng.integers(16, 65)),
               warp_size=int(rng.integers(4, WARP_SIZE + 1)))
-    msgs, reqs = random_queues(rng, "src", big=seed % 3 == 0)
+    msgs, reqs = random_queues(rng, None, big=seed % 3 == 0,
+                               density=DENSITIES[seed % 4])
     assert_matrix_equals_reference(msgs, reqs, **kw)
 
 
@@ -299,7 +331,7 @@ def test_partitioned_random_differential(seed):
         window=int(rng.integers(16, 65)),
         warp_size=int(rng.integers(4, WARP_SIZE + 1)),
         compaction=bool(rng.integers(2)))
-    msgs, reqs = random_queues(rng, key, big)
+    msgs, reqs = random_queues(rng, key, big, DENSITIES[seed // 2 % 4])
     if big:
         assert np.bincount(getattr(msgs, key) % matcher.n_queues).max() > 1024
     assert_same_outcome(matcher.match(msgs, reqs),

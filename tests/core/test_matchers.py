@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.envelope import ANY_SOURCE, ANY_TAG, EnvelopeBatch
+from repro.core.envelope import (ANY_SOURCE, ANY_TAG, MAX_COMM, MAX_SRC,
+                                 MAX_TAG, EnvelopeBatch)
 from repro.core.hash_matching import HashMatcher, HashTableConfig
 from repro.core.list_matching import ListMatcher
 from repro.core.matrix_matching import MatrixMatcher
@@ -452,3 +453,39 @@ class TestPartitionedMatcher:
         out = balanced.match(msgs, reqs)
         assert out.meta["n_active_queues"] == 1
         check_mpi_ordering(msgs, reqs, out)
+
+
+# -- the whole communicator range ------------------------------------------------
+
+
+#: Identity hashing puts the all-maximum key (folded: 0) and (0, 0, 0) in
+#: the same primary slot, so the second insert meets the first.
+_IDENTITY = HashTableConfig(hash_name="identity")
+
+
+@pytest.mark.parametrize("match", [
+    lambda m, r: HashMatcher(config=_IDENTITY).match(m, r),
+    lambda m, r: HashMatcher(config=_IDENTITY).match_pedantic(m, r),
+    lambda m, r: MatrixMatcher().match(m, r),
+    lambda m, r: PartitionedMatcher(n_queues=4).match(m, r),
+], ids=["hash", "hash-pedantic", "matrix", "partitioned"])
+def test_full_comm_range_matches_reference(match):
+    """Every comm a batch accepts packs and matches: comm 2**15 sets the
+    key's top bit, and the all-maximum envelope packs to -1, the word
+    that ``packed() + 1`` would turn into the hash table's empty
+    sentinel, so a colliding insert would overwrite it.  Every tuple is
+    distinct, so even the unordered hash matcher must give the
+    reference assignment."""
+    top = (MAX_SRC, MAX_TAG, MAX_COMM)
+    tuples = [top, (3, 1, 2**15), (3, 1, MAX_COMM), (3, 1, 0),
+              (MAX_SRC, 1, 2**15), (7, MAX_TAG, MAX_COMM - 1), (0, 0, 0)]
+    src, tag, comm = (np.array(col) for col in zip(*tuples))
+    msgs = EnvelopeBatch(src, tag, comm)
+    assert msgs.packed()[0] == -1
+    # the all-maximum request second, (0, 0, 0) right after it, and one
+    # request that no message satisfies
+    reqs = msgs.take([1, 0, 6, 5, 4, 3, 2]).concatenate(
+        EnvelopeBatch([4], [1], [2**15]))
+    want = reference_match(msgs, reqs).request_to_message
+    assert np.count_nonzero(want != NO_MATCH) == len(msgs)
+    assert np.array_equal(match(msgs, reqs).request_to_message, want)
