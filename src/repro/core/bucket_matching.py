@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envelope import ANY_SOURCE, ANY_TAG, EnvelopeBatch
+from .envelope import ANY_SOURCE, ANY_TAG, EnvelopeBatch, pack_keys
 from .hashing import HASH_FUNCTIONS, fold64
 from .list_matching import CPUSpec, XEON_E5
 from .result import NO_MATCH, MatchOutcome
@@ -127,9 +127,10 @@ class BucketMatcher:
 
     # -- bucket addressing -----------------------------------------------------------
 
-    def _bucket_of(self, src: int, tag: int, comm: int) -> int:
-        word = np.int64((comm << 48) | (src << 16) | tag)
-        return int(self._hash(fold64(np.array([word])))[0]) % self.n_buckets
+    def _buckets_of(self, batch: EnvelopeBatch) -> list[int]:
+        """Each envelope's bucket (a wildcard lane's is meaningless)."""
+        keys = pack_keys(batch.src, batch.tag, batch.comm)
+        return (self._hash(fold64(keys)) % self.n_buckets).tolist()
 
     # -- direction 1: requests search the bucketed message queue -----------------------
 
@@ -141,11 +142,13 @@ class BucketMatcher:
         out = np.full(n_req, NO_MATCH, dtype=np.int64)
 
         buckets: list[deque] = [deque() for _ in range(self.n_buckets)]
+        msg_bucket = self._buckets_of(messages)
         for i in range(n_msg):
             src, tag, comm = (int(messages.src[i]), int(messages.tag[i]),
                               int(messages.comm[i]))
-            buckets[self._bucket_of(src, tag, comm)].append(
+            buckets[msg_bucket[i]].append(
                 _Entry(seq=i, index=i, src=src, tag=tag, comm=comm))
+        req_bucket = self._buckets_of(requests)
 
         visited_total = 0
         seconds = 0.0
@@ -155,7 +158,7 @@ class BucketMatcher:
             r_comm = int(requests.comm[j])
             visited = 0
             if r_src != ANY_SOURCE and r_tag != ANY_TAG:
-                bucket = buckets[self._bucket_of(r_src, r_tag, r_comm)]
+                bucket = buckets[req_bucket[j]]
                 for entry in bucket:
                     if not entry.live:
                         continue
@@ -216,6 +219,7 @@ class BucketMatcher:
         out = np.full(n_req, NO_MATCH, dtype=np.int64)
 
         buckets: list[deque] = [deque() for _ in range(self.n_buckets)]
+        req_bucket = self._buckets_of(requests)
         for j in range(n_req):
             src, tag, comm = (int(requests.src[j]), int(requests.tag[j]),
                               int(requests.comm[j]))
@@ -224,16 +228,17 @@ class BucketMatcher:
                 for bucket in buckets:
                     bucket.append(_Marker(seq=j, wildcard=wc))
             else:
-                buckets[self._bucket_of(src, tag, comm)].append(
+                buckets[req_bucket[j]].append(
                     _Entry(seq=j, index=j, src=src, tag=tag, comm=comm))
 
+        msg_bucket = self._buckets_of(messages)
         visited_total = 0
         seconds = 0.0
         for i in range(n_msg):
             m_src, m_tag, m_comm = (int(messages.src[i]),
                                     int(messages.tag[i]),
                                     int(messages.comm[i]))
-            bucket = buckets[self._bucket_of(m_src, m_tag, m_comm)]
+            bucket = buckets[msg_bucket[i]]
             visited = 0
             for element in bucket:
                 if not element.live:

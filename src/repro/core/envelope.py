@@ -5,9 +5,9 @@ communicator)*; receives may wildcard the source (``MPI_ANY_SOURCE``) and
 the tag (``MPI_ANY_TAG``).  The trace analysis (Section IV) observes that
 no proxy application needs tags wider than 16 bits, so *"together with the
 32-bit value for the source and some bits for the communicator, the entire
-header could fit into a single 64-bit word"* -- :func:`pack64` implements
-exactly that layout, and the SIMT kernels compare packed words with a
-single 64-bit ALU instruction.
+header could fit into a single 64-bit word"* -- :func:`pack_keys` implements
+exactly that layout (:func:`pack64` is its checked scalar form), and the
+SIMT kernels compare packed words with a single 64-bit ALU instruction.
 
 Two representations are provided:
 
@@ -32,6 +32,7 @@ __all__ = [
     "Envelope",
     "EnvelopeBatch",
     "pack64",
+    "pack_keys",
     "unpack64",
 ]
 
@@ -51,10 +52,31 @@ MAX_TAG = 2**16 - 1
 MAX_COMM = 2**16 - 1
 
 
+#: The low 64 bits of an int: an int64 key word read unsigned.
+_WORD = 2**64 - 1
+
+
+def pack_keys(src, tag, comm) -> np.ndarray:
+    """The packed64 key of each ``(src, tag, comm)``, unchecked.
+
+    The one place the header layout (most- to least-significant
+    ``comm:16 | src:32 | tag:16``) is written out.  Takes integer
+    columns or scalars and returns the 64-bit words as int64, so a comm
+    of ``2**15`` or more reads negative.  Fields must lie within their
+    widths (a wider one spills into its neighbour); a wildcard lane
+    packs to a word that names no tuple.
+    """
+    def bits(col) -> np.ndarray:   # no copy of an int64 column
+        return np.asarray(col, dtype=np.int64).view(np.uint64)
+
+    return ((bits(comm) << np.uint64(48)) | (bits(src) << np.uint64(16))
+            | bits(tag)).view(np.int64)
+
+
 def pack64(src: int, tag: int, comm: int = 0) -> int:
     """Pack a concrete (non-wildcard) matching tuple into one 64-bit word.
 
-    Layout (most- to least-significant): ``comm:16 | src:32 | tag:16``.
+    :func:`pack_keys` after a range check, read unsigned.
 
     >>> hex(pack64(src=2, tag=3, comm=1))
     '0x1000000020003'
@@ -65,13 +87,18 @@ def pack64(src: int, tag: int, comm: int = 0) -> int:
         raise ValueError(f"tag out of range: {tag}")
     if not 0 <= comm <= MAX_COMM:
         raise ValueError(f"comm out of range: {comm}")
-    return (comm << 48) | (src << 16) | tag
+    return int(pack_keys(src, tag, comm)) & _WORD
 
 
 def unpack64(word: int) -> tuple[int, int, int]:
-    """Inverse of :func:`pack64`; returns ``(src, tag, comm)``."""
-    if not 0 <= word < 2**64:
-        raise ValueError("word must be an unsigned 64-bit value")
+    """Inverse of :func:`pack64`; returns ``(src, tag, comm)``.
+
+    Takes the word unsigned or as the int64 that :func:`pack_keys`
+    and :meth:`EnvelopeBatch.packed` hold.
+    """
+    if not -2**63 <= word < 2**64:
+        raise ValueError("word must be a 64-bit value")
+    word &= _WORD
     return ((word >> 16) & MAX_SRC, word & MAX_TAG, (word >> 48) & MAX_COMM)
 
 
@@ -126,7 +153,8 @@ class Envelope:
 
     @classmethod
     def from_packed(cls, word: int) -> "Envelope":
-        """Rebuild an envelope from its 64-bit packed form."""
+        """Rebuild an envelope from its 64-bit packed form (unsigned, or
+        the int64 word :meth:`EnvelopeBatch.packed` holds)."""
         src, tag, comm = unpack64(word)
         return cls(src=src, tag=tag, comm=comm)
 
@@ -276,7 +304,7 @@ class EnvelopeBatch:
             raise ValueError(f"{what} must not contain wildcards")
 
     def packed(self) -> np.ndarray:
-        """Vectorized :func:`pack64`; requires a concrete batch.
+        """:func:`pack_keys` of the batch; requires a concrete batch.
 
         Holds :func:`pack64`'s bits as int64 for every comm up to
         :data:`MAX_COMM` (a comm of ``2**15`` or more reads negative).
@@ -293,10 +321,7 @@ class EnvelopeBatch:
             if ((self.src > MAX_SRC).any() or (self.tag > MAX_TAG).any()
                     or (self.comm > MAX_COMM).any()):
                 raise ValueError("field too wide for its packed width")
-            u64 = np.uint64
-            self._packed = ((self.comm.astype(u64) << u64(48))
-                            | (self.src.astype(u64) << u64(16))
-                            | self.tag.astype(u64)).view(np.int64)
+            self._packed = pack_keys(self.src, self.tag, self.comm)
         return self._packed
 
     def match_matrix(self, requests: "EnvelopeBatch") -> np.ndarray:

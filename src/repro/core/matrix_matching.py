@@ -52,7 +52,8 @@ from ..simt.gpu import GPUSpec, PASCAL_GTX1080
 from ..simt.memory import SMEM_WORD_BYTES
 from ..simt.timing import CostLedger, TimingModel
 from ..simt.warp import WARP_SIZE, ffs32, full_active
-from .envelope import ANY_SOURCE, ANY_TAG, MAX_SRC, MAX_TAG, EnvelopeBatch
+from .envelope import (ANY_SOURCE, ANY_TAG, MAX_SRC, MAX_TAG, EnvelopeBatch,
+                       pack_keys)
 from .result import NO_MATCH, MatchOutcome
 
 __all__ = ["MatrixMatcher", "DEFAULT_WINDOW", "match_vector"]
@@ -333,8 +334,8 @@ class MatrixMatcher:
 
 #: The packed-key bits a request compares, by wildcard kind (0 none,
 #: 1 ``ANY_SOURCE``, 2 ``ANY_TAG``, 3 both).
-_KIND_MASKS = np.array([-1, ~(MAX_SRC << 16), ~MAX_TAG,
-                        ~((MAX_SRC << 16) | MAX_TAG)], dtype=np.int64)
+_KIND_MASKS = ~pack_keys([0, MAX_SRC, 0, MAX_SRC], [0, 0, MAX_TAG, MAX_TAG],
+                         [0, 0, 0, 0])
 
 
 def match_vector(messages: EnvelopeBatch,

@@ -68,12 +68,14 @@ worker busy seconds, recovery cost) -- never on a decision path.
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing as mp
 import os
 import select
 import signal
 import struct
 import time
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,7 +150,10 @@ def _worker_main(init_blob: bytes, cmd, resp) -> None:
     the child and calls the function by qualified name; nothing here may
     capture router state except through ``init_blob`` (a snapshot-codec
     blob) and its two pipe ends: ``cmd`` (read) and ``resp`` (write),
-    both blocking.
+    both blocking.  It returns quietly once the router is gone: only
+    the router holds the other ends (a forked worker closes the copies
+    it inherits, see :func:`_close_router_ends`), so the router's exit,
+    however abrupt, reads here as EOF or a broken pipe.
     """
     cfg = loads(init_blob)
     worker = ShardWorker(cfg["worker_id"], seed=cfg["seed"],
@@ -159,8 +164,13 @@ def _worker_main(init_blob: bytes, cmd, resp) -> None:
     else:
         for spec in cfg["specs"]:
             worker.add_tenant(spec)
+    _release_free_heap()
     while not worker.stopped:
-        kind, payload = decode_frame(cmd.recv_bytes())
+        try:
+            data = cmd.recv_bytes()
+        except EOFError:
+            return   # the router is gone
+        kind, payload = decode_frame(data)
         # Busy accounting uses *CPU* time, not wall time: on a host with
         # fewer cores than workers, wall time inside a handler includes
         # the periods this process was descheduled while siblings ran,
@@ -175,9 +185,28 @@ def _worker_main(init_blob: bytes, cmd, resp) -> None:
             # batch exists only on this stack).  Recovery must come from
             # the router's checkpoint + journal.
             os.kill(os.getpid(), signal.SIGKILL)
-        for reply in replies:
-            resp.send_bytes(encode_frame(*reply))
+        try:
+            for reply in replies:
+                resp.send_bytes(encode_frame(*reply))
+        except BrokenPipeError:
+            return   # the router is gone
         worker.busy += time.process_time() - t0
+
+
+def _release_free_heap() -> None:
+    """Hand the heap's free pages back to the OS (glibc ``malloc_trim``).
+
+    A forked worker starts out sharing the router's whole heap, free
+    chunks included, and each page the router reuses afterwards becomes
+    the worker's private copy.  Trimming once the shard is built returns
+    the free ones; where libc has no ``malloc_trim`` this does nothing.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError):
+        return
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    trim(0)
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +236,7 @@ class _Link:
         self.broken = False        # the worker's read end is closed
         os.set_blocking(cmd.fileno(), False)
         os.set_blocking(resp.fileno(), False)
+        _LIVE_LINKS.add(self)
 
     def push(self, frame: bytes) -> None:
         self.out += _LEN.pack(len(frame))
@@ -255,8 +285,30 @@ class _Link:
         return frames
 
     def close(self) -> None:
+        _LIVE_LINKS.discard(self)
         self.cmd.close()
         self.resp.close()
+
+
+#: Every open :class:`_Link` in this process.  Process-wide on purpose:
+#: a forked child must drop the router ends of every cluster, not only
+#: those of the cluster that forked it.
+_LIVE_LINKS: "weakref.WeakSet[_Link]" = weakref.WeakSet()
+
+
+def _close_router_ends() -> None:
+    """In a forked child, close the router's pipe ends it inherited.
+
+    Only the router may hold them: a worker holding its own command
+    pipe's write end never reads EOF, and one holding a sibling's keeps
+    that sibling alive, so either would outlive a killed router.  Under
+    spawn nothing is inherited and this never runs.
+    """
+    for link in list(_LIVE_LINKS):
+        link.close()
+
+
+os.register_at_fork(after_in_child=_close_router_ends)
 
 
 class _WorkerHandle:
@@ -311,7 +363,11 @@ class ClusterService(Router):
         bit-identical.
     start_method:
         ``"spawn"`` (default; the spawn-safety contract) or ``"fork"``
-        (cheaper startup; the test suites use it for speed).
+        (cheaper startup; the test suites use it for speed).  A spawned
+        worker inherits no router memory; a forked one starts out
+        sharing the router's heap and fds, and once its shard is built
+        returns the heap's free pages to the OS and keeps only its own
+        two pipe ends.
     checkpoint_every:
         Checkpoint cadence per worker, in newly routed flush results.
     op_timeout:
@@ -643,18 +699,23 @@ class ClusterService(Router):
     def _spawn(self, w: _WorkerHandle) -> None:
         cmd_r, cmd_w = self._ctx.Pipe(duplex=False)
         resp_r, resp_w = self._ctx.Pipe(duplex=False)
+        # a live link before the fork, so the forked worker closes it
+        link = _Link(cmd_w, resp_r)
         proc = self._ctx.Process(
             target=_worker_main,
             args=(self._init_blob(w), cmd_r, resp_w),
             daemon=True, name=f"repro-serve-worker-{w.worker_id}")
         try:
             proc.start()
+        except BaseException:
+            link.close()
+            raise
         finally:
             # only the worker holds its ends, so its death closes them:
             # EOF on the response pipe, EPIPE on the command pipe
             cmd_r.close()
             resp_w.close()
-        w.proc, w.link = proc, _Link(cmd_w, resp_r)
+        w.proc, w.link = proc, link
 
     @staticmethod
     def _reap(w: _WorkerHandle, grace: float) -> None:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.envelope import EnvelopeBatch
+from ..core.envelope import EnvelopeBatch, pack_keys
 from ..traces import generate_trace
 from ..traces.events import KIND_POST, KIND_SEND, Trace
 from .admission import AdmissionPolicy
@@ -137,7 +137,7 @@ def tenant_stream_from_trace(trace: Trace, rank: int, chunk_envelopes: int = 64,
     # Pack the whole stream's message keys in one shot.  Request rows
     # may carry wildcards and are never packed (the packed form has no
     # wildcard encoding); their lanes here are dead values.
-    packed = (comm << 48) | (src << 16) | tag
+    packed = pack_keys(src, tag, comm)
     chunks: list[tuple[EnvelopeBatch, EnvelopeBatch]] = []
     for lo in range(0, int(src.size), chunk_envelopes):
         sel = slice(lo, lo + chunk_envelopes)

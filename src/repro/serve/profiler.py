@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.envelope import ANY_SOURCE, ANY_TAG, EnvelopeBatch
+from ..core.envelope import ANY_SOURCE, ANY_TAG, EnvelopeBatch, pack_keys
 from ..core.result import MatchOutcome
 
 __all__ = ["WorkloadProfile", "StreamProfiler", "DOMINANCE_LIMIT"]
@@ -111,8 +111,8 @@ class StreamProfiler:
         if len(messages):
             packed = messages._packed
             if packed is None:
-                packed = ((messages.comm << 48)
-                          | (messages.src << 16) | messages.tag)
+                packed = pack_keys(messages.src, messages.tag,
+                                   messages.comm)
             _, tuple_counts = np.unique(packed, return_counts=True)
             dominant = int(tuple_counts.max()) - 1
         self._window.append((

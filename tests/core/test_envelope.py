@@ -39,6 +39,23 @@ class TestPacking:
         e = Envelope(src=12345, tag=77, comm=3)
         assert Envelope.from_packed(e.packed()) == e
 
+    @pytest.mark.parametrize("src, tag, comm", [
+        (5, 1, 0), (5, 1, 2**15), (5, 1, MAX_COMM),
+        (MAX_SRC, MAX_TAG, MAX_COMM)])
+    def test_int64_word_roundtrip(self, src, tag, comm):
+        """``packed()`` holds int64 words, negative from comm ``2**15``
+        on; the scalar inverse takes them as they are."""
+        word = int(EnvelopeBatch([src], [tag], [comm]).packed()[0])
+        assert (word < 0) == (comm >= 2**15)
+        assert unpack64(word) == (src, tag, comm)
+        assert Envelope.from_packed(word) == Envelope(src, tag, comm)
+        assert word & (2**64 - 1) == pack64(src, tag, comm)
+
+    @pytest.mark.parametrize("word", [-2**63 - 1, 2**64])
+    def test_unpack_rejects_wider_words(self, word):
+        with pytest.raises(ValueError, match="64-bit"):
+            unpack64(word)
+
     def test_wildcard_cannot_pack(self):
         with pytest.raises(ValueError):
             Envelope(src=ANY_SOURCE, tag=0).packed()

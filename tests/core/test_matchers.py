@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.bucket_matching import BucketMatcher
 from repro.core.envelope import (ANY_SOURCE, ANY_TAG, MAX_COMM, MAX_SRC,
                                  MAX_TAG, EnvelopeBatch)
 from repro.core.hash_matching import HashMatcher, HashTableConfig
@@ -468,7 +469,9 @@ _IDENTITY = HashTableConfig(hash_name="identity")
     lambda m, r: HashMatcher(config=_IDENTITY).match_pedantic(m, r),
     lambda m, r: MatrixMatcher().match(m, r),
     lambda m, r: PartitionedMatcher(n_queues=4).match(m, r),
-], ids=["hash", "hash-pedantic", "matrix", "partitioned"])
+    lambda m, r: BucketMatcher(n_buckets=4).match(m, r),
+    lambda m, r: ListMatcher().match(m, r),
+], ids=["hash", "hash-pedantic", "matrix", "partitioned", "bucket", "list"])
 def test_full_comm_range_matches_reference(match):
     """Every comm a batch accepts packs and matches: comm 2**15 sets the
     key's top bit, and the all-maximum envelope packs to -1, the word

@@ -8,21 +8,30 @@ These tests pin what follows from that: no unsent bytes and no queue
 feeder thread after any public call, a journal bounded by the pipe
 rather than by a queue depth, a stalled worker failing its wait within
 ``op_timeout``, a worker's death waking the wait, and a failed
-``start()`` leaving no worker behind.
+``start()`` leaving no worker behind.  The fork-hygiene tests pin that
+a worker holds only its own two pipe ends, so a SIGKILLed router takes
+its workers with it.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
+import select
 import signal
+import subprocess
+import sys
 import threading
 import time
 
 import pytest
 
+import repro
 from repro.serve import (DEFAULT_BENCH_APPS, ClusterError, ClusterService,
                          TenantSpec, merge_workloads, workload_from_app)
+
+needs_proc = pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                                reason="reads /proc")
 
 
 def bench_stream(laps: int, seed: int = 0):
@@ -180,3 +189,93 @@ def test_failed_start_leaves_no_worker(monkeypatch):
         assert len(children) == cluster.n_workers
         cluster.sync()
     assert all(p.exitcode == 0 for p in children)
+
+
+def pipe_inodes(pid: int) -> list[int]:
+    """The pipe inode behind each of ``pid``'s open fds that is a pipe."""
+    fd_dir = f"/proc/{pid}/fd"
+    links = [os.readlink(os.path.join(fd_dir, fd)) for fd in os.listdir(fd_dir)]
+    return [int(link[6:-1]) for link in links if link.startswith("pipe:[")]
+
+
+def link_inodes(w) -> tuple[int, int]:
+    return (os.fstat(w.link.cmd.fileno()).st_ino,
+            os.fstat(w.link.resp.fileno()).st_ino)
+
+
+@needs_proc
+@pytest.mark.parametrize("start_method", ["fork", "spawn"])
+def test_worker_holds_only_its_own_pipe_ends(start_method):
+    """Each worker holds one end of each of its own link's two pipes
+    and nothing of another worker's link -- also a worker respawned
+    while its sibling's link is open."""
+    cluster = ClusterService(n_workers=2, seed=0, start_method=start_method)
+    cluster.register(TenantSpec(name="t"))
+
+    def check() -> None:
+        cluster.sync()   # every worker is past its start-up
+        links = {w.worker_id: link_inodes(w) for w in cluster._workers}
+        for w in cluster._workers:
+            held = pipe_inodes(w.proc.pid)
+            for ino in links[w.worker_id]:
+                assert held.count(ino) == 1
+            for other, inos in links.items():
+                if other != w.worker_id:
+                    assert not set(inos) & set(held)
+
+    with cluster:
+        check()
+        proc = cluster._workers[0].proc
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.join(timeout=10.0)
+        assert not proc.is_alive()
+        check()
+        assert len(cluster.recoveries) == 1
+
+
+ROUTER = """
+import time
+from repro.serve import ClusterService, TenantSpec
+cluster = ClusterService(n_workers=2, seed=0, start_method="fork")
+cluster.register(TenantSpec(name="t"))
+cluster.start()
+cluster.sync()
+print(*(w.proc.pid for w in cluster._workers), flush=True)
+time.sleep(60)
+"""
+
+
+def gone(pid: int) -> bool:
+    """Exited (reaped, or a zombie nobody has reaped yet)."""
+    try:
+        return process_state(pid) == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@needs_proc
+def test_workers_exit_when_the_router_is_killed():
+    """SIGKILL the router: with no other holder of the router's pipe
+    ends, each fork worker reads EOF and exits."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    router = subprocess.Popen([sys.executable, "-c", ROUTER], env=env,
+                              stdout=subprocess.PIPE, text=True)
+    pids: list[int] = []
+    try:
+        assert select.select([router.stdout], [], [], 60.0)[0]
+        pids = [int(p) for p in router.stdout.readline().split()]
+        assert len(pids) == 2
+        router.kill()
+        router.wait(timeout=10.0)
+        deadline = time.monotonic() + 10.0
+        while not all(gone(p) for p in pids) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert [p for p in pids if not gone(p)] == []
+    finally:
+        router.kill()
+        router.wait(timeout=10.0)
+        router.stdout.close()
+        for pid in pids:
+            if not gone(pid):
+                os.kill(pid, signal.SIGKILL)
