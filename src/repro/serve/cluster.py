@@ -41,12 +41,16 @@ construction:
 
 **Failure model.**  A worker is a deterministic state machine over its
 input frame stream.  The router journals every state-mutating frame it
-sends and periodically asks the worker for a checkpoint (the snapshot
-plane's CRC-guarded blob); FIFO ordering means a checkpoint covers
-exactly the frames sent before the request, so the journal truncates at
-the blob.  When a worker dies (SIGKILL mid-flush is the chaos suite's
-favourite), the next barrier that waits on it (stats, checkpoint,
-export) respawns it from the last checkpoint and
+sends (:data:`~repro.serve.wire.JOURNALED_KINDS`).  The worker takes
+its own checkpoints (the snapshot plane's CRC-guarded blob): after each
+journaled frame that carries its flush count past a multiple of
+``checkpoint_every``, it replies with the blob and the number of
+journaled frames it has applied, so checkpoint points are fixed by the
+frame stream, not by when the router reads.  That count is absolute:
+the router truncates the journal to it and ignores an older blob.  When
+a worker dies (SIGKILL mid-flush is the chaos suite's favourite), the
+next barrier that waits on it (stats, checkpoint, export) reads its
+last replies, respawns it from the last checkpoint and
 **re-executes the journal verbatim** -- the worker deterministically
 regenerates every post-checkpoint ticket and flush result, and the
 router deduplicates by seq and ``(tenant, flush_seq)``.  Zero admitted
@@ -88,8 +92,9 @@ from .messages import (ClusterError, FlushResult, ShardCrash, TenantSpec,
                        Ticket)
 from .service import Router, ShardWorker
 from .stages import SERVE_STAGES, StageClock
-from .state import dumps, install_worker, loads, policies_from, policies_state
-from .wire import WireError, decode_frame, encode_frame
+from .state import (dumps, install_worker, loads, policies_from,
+                    policies_state, worker_state)
+from .wire import JOURNALED_KINDS, WireError, decode_frame, encode_frame
 
 __all__ = ["ClusterError", "ClusterRecovery", "ClusterMigration",
            "ClusterService", "RebalancePolicy", "run_cluster_workload"]
@@ -154,6 +159,13 @@ def _worker_main(init_blob: bytes, cmd, resp) -> None:
     the router holds the other ends (a forked worker closes the copies
     it inherits, see :func:`_close_router_ends`), so the router's exit,
     however abrupt, reads here as EOF or a broken pipe.
+
+    The worker checkpoints itself: after a journaled frame that carries
+    ``flushes_done`` past a multiple of ``checkpoint_every`` (and on a
+    ``checkpoint`` request) it replies ``checkpointed`` with its blob and
+    ``journaled``, the number of journaled frames applied since the
+    cluster started.  A respawned worker resumes that count and the
+    cadence from its init blob.
     """
     cfg = loads(init_blob)
     worker = ShardWorker(cfg["worker_id"], seed=cfg["seed"],
@@ -164,6 +176,9 @@ def _worker_main(init_blob: bytes, cmd, resp) -> None:
     else:
         for spec in cfg["specs"]:
             worker.add_tenant(spec)
+    shard, every = worker.shard, cfg["checkpoint_every"]
+    journaled = cfg["journaled"]
+    epoch = shard.flushes_done // every
     _release_free_heap()
     while not worker.stopped:
         try:
@@ -177,14 +192,23 @@ def _worker_main(init_blob: bytes, cmd, resp) -> None:
         # which would make per-worker "busy" grow with contention
         # instead of shrinking with partitioning.
         t0 = time.process_time()
-        try:
-            replies = worker.handle(kind, payload)
-        except ShardCrash:
-            # Armed chaos kill: die for real, mid-flush, between pipe
-            # operations (the accumulator has drained; the in-flight
-            # batch exists only on this stack).  Recovery must come from
-            # the router's checkpoint + journal.
-            os.kill(os.getpid(), signal.SIGKILL)
+        replies = []
+        if kind != "checkpoint":
+            try:
+                replies = worker.handle(kind, payload)
+            except ShardCrash:
+                # Armed chaos kill: die for real, mid-flush, between
+                # pipe operations (the accumulator has drained; the
+                # in-flight batch exists only on this stack).  Recovery
+                # must come from the router's checkpoint + journal.
+                os.kill(os.getpid(), signal.SIGKILL)
+            if kind in JOURNALED_KINDS:
+                journaled += 1
+        if kind == "checkpoint" or shard.flushes_done // every > epoch:
+            epoch = shard.flushes_done // every
+            replies.append(("checkpointed", {
+                "blob": dumps(worker_state(worker)),
+                "journaled": journaled}))
         try:
             for reply in replies:
                 resp.send_bytes(encode_frame(*reply))
@@ -318,17 +342,14 @@ class _WorkerHandle:
         self.worker_id = worker_id
         self.proc = None
         self.link: _Link | None = None
-        #: state-mutating frames sent since the last durable checkpoint
-        #: (the verbatim re-execution script for recovery).
+        #: state-mutating frames sent since the last checkpoint (the
+        #: verbatim re-execution script for recovery).
         self.journal: list[bytes] = []
         self.checkpoint: bytes | None = None
-        #: journal position when a checkpoint request went out (``None``
-        #: when no request is in flight); truncation point at the blob.
-        self.ckpt_mark: int | None = None
-        self.flushes_since_ckpt = 0
+        #: journaled frames the checkpoint covers, counted from start
+        self.covered = 0
         self.respawns = 0
         self.stats: dict | None = None
-        self.stats_token = -1
         self.specs: list[TenantSpec] = []
         self.stopped = False
 
@@ -369,7 +390,9 @@ class ClusterService(Router):
         returns the heap's free pages to the OS and keeps only its own
         two pipe ends.
     checkpoint_every:
-        Checkpoint cadence per worker, in newly routed flush results.
+        Checkpoint cadence: each worker checkpoints itself every
+        ``checkpoint_every`` flushes it makes, counted from its start
+        (a count the checkpoint carries, so a respawn keeps the cadence).
     op_timeout:
         Wall-clock bound on any single router operation against a
         worker (a post into a full pipe, barriers, migration exports)
@@ -407,7 +430,8 @@ class ClusterService(Router):
         self._ctx = mp.get_context(start_method)
         self.tickets: dict[int, Ticket] = {}
         self._seen_flush: set[tuple[str, int]] = set()
-        self._tenant_blobs: dict[str, bytes] = {}
+        #: migrating tenant -> its exported blob (``None`` while awaited)
+        self._tenant_blobs: dict[str, bytes | None] = {}
         self._stats_token = 0
         self._started = False
         self._stopped = False
@@ -415,11 +439,7 @@ class ClusterService(Router):
         self.migrations: list[ClusterMigration] = []
         self._pending_migrations: list[ClusterMigration] = []
         self._last_migration_flush = -(10 ** 9)
-        self._awaiting_blob: set[str] = set()
-        self._in_maybe_ckpt = False
         self._in_recover = False
-        self._in_send = False
-        self._stopping = False
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -459,20 +479,17 @@ class ClusterService(Router):
         response pipe (a checkpoint blob can), so the router keeps
         reading -- waiting in its one ``poll``, never sleeping -- until
         each live worker's ``bye`` arrives, and only then joins.
-        Stragglers are terminated once ``op_timeout`` passes.
-        ``_stopping`` suppresses checkpoint requests (nothing may follow
-        a stop frame); a worker found dead is not recovered (it would be
-        respawned, replayed and never stopped) but joined.
+        Stragglers are terminated once ``op_timeout`` passes.  A worker
+        found dead is not recovered (it would be respawned, replayed and
+        never stopped) but joined.
         """
         if not self._started or self._stopped:
             self._stopped = True
             return
-        self._stopping = True
-        stop_frame = encode_frame("stop", None)
         for w in self._workers:
             if w.alive():
                 try:
-                    self._post(w, stop_frame)
+                    self._send(w, "stop")
                 except ClusterError:
                     pass
         deadline = time.monotonic() + self.op_timeout
@@ -561,7 +578,9 @@ class ClusterService(Router):
         with self._collecting() as routed:
             for w in self._workers:
                 self._post(w, frame)
-            self._await(self._workers, lambda w: w.stats_token >= token,
+            self._await(self._workers,
+                        lambda w: (w.stats is not None
+                                   and w.stats["token"] >= token),
                         lambda w: self._post(w, frame),
                         "missed the stats barrier")
         return routed
@@ -580,8 +599,7 @@ class ClusterService(Router):
             raise ValueError("after_flushes must be >= 1")
         self._require_live()
         w = self._workers[worker_id]
-        return self._post(w, encode_frame(
-            "arm_exit", {"after_flushes": after_flushes}))
+        return self._send(w, "arm_exit", {"after_flushes": after_flushes})
 
     # -- live migration -----------------------------------------------------------
 
@@ -604,8 +622,7 @@ class ClusterService(Router):
                  else 2.0 * self.batching.max_delay_vt)
         cutover_vt = self._now + delay
         src = self._workers[from_worker]
-        self._tenant_blobs.pop(tenant, None)
-        self._awaiting_blob.add(tenant)
+        self._tenant_blobs[tenant] = None
         self._send(src, "export_tenant",
                    {"tenant": tenant, "cutover_vt": cutover_vt})
         blob = self._await_tenant_blob(tenant, src)
@@ -652,11 +669,12 @@ class ClusterService(Router):
     def _await_tenant_blob(self, tenant: str, src: _WorkerHandle) -> bytes:
         try:
             # the journal holds the export frame; a replay re-exports
-            self._await([src], lambda w: tenant in self._tenant_blobs,
+            self._await([src],
+                        lambda w: self._tenant_blobs[tenant] is not None,
                         lambda w: None, f"never exported tenant {tenant!r}")
+            return self._tenant_blobs[tenant]
         finally:
-            self._awaiting_blob.discard(tenant)
-        return self._tenant_blobs.pop(tenant)
+            del self._tenant_blobs[tenant]
 
     def _fire_cutovers(self) -> None:
         for plan in sorted(self._pending_migrations,
@@ -693,6 +711,8 @@ class ClusterService(Router):
             "worker_id": w.worker_id,
             "seed": self.seed,
             "checkpoint": w.checkpoint,
+            "journaled": w.covered,
+            "checkpoint_every": self.checkpoint_every,
             "specs": w.specs,
             "policies": self._policies})
 
@@ -730,25 +750,15 @@ class ClusterService(Router):
             w.link.close()
             w.link = None
 
-    def _send(self, w: _WorkerHandle, kind: str, payload=None) -> None:
-        """Encode and journal a state-mutating frame, then deliver it.
-        If the worker is gone, its recovery replays the frame from the
-        journal.
-
-        ``_in_send`` suppresses checkpoint requests while the frame is
-        journaled but not yet in the pipe: a mark taken now would cover
-        the frame's journal slot, yet the checkpoint request could
-        overtake it into the command pipe -- the blob would exclude the
-        frame's effects while the truncation drops it from the journal,
-        losing it from any later replay.
-        """
+    def _send(self, w: _WorkerHandle, kind: str, payload=None) -> bool:
+        """Encode a frame, journal it if its kind is one of
+        :data:`~repro.serve.wire.JOURNALED_KINDS`, and :meth:`_post` it.
+        If the worker is gone, its recovery replays a journaled frame
+        from the journal."""
         data = self._encode_transport(kind, payload)
-        w.journal.append(data)
-        self._in_send = True
-        try:
-            self._post(w, data)
-        finally:
-            self._in_send = False
+        if kind in JOURNALED_KINDS:
+            w.journal.append(data)
+        return self._post(w, data)
 
     def _post(self, w: _WorkerHandle, data: bytes) -> bool:
         """Deliver one raw frame: return once it is in the kernel pipe,
@@ -815,7 +825,6 @@ class ClusterService(Router):
                     if stages is not None:
                         stages.stop("transport", t0)
                 self._handle(w, kind, payload)
-        self._maybe_checkpoint()
 
     def _handle(self, w: _WorkerHandle, kind: str, payload) -> None:
         if kind == "ticket":
@@ -826,24 +835,20 @@ class ClusterService(Router):
                 return   # journal replay re-delivered a known flush
             self._seen_flush.add(key)
             self._route_flush(payload)
-            w.flushes_since_ckpt += 1
         elif kind == "checkpointed":
-            if w.ckpt_mark is None:
-                # A reply whose truncation mark was invalidated (the
-                # worker was recovered while the request was in flight).
-                # Storing it without truncating would make the next
-                # recovery double-execute the journal -- drop it.
-                return
-            w.checkpoint = payload["blob"]
-            del w.journal[:w.ckpt_mark]
-            w.ckpt_mark = None
-            w.flushes_since_ckpt = 0
+            # The count is absolute: a blob covering no more than the
+            # one held (a respawned worker's explicit checkpoint, say)
+            # is ignored.
+            newly = payload["journaled"] - w.covered
+            if newly > 0:
+                w.checkpoint = payload["blob"]
+                w.covered = payload["journaled"]
+                del w.journal[:newly]
         elif kind == "stats_reply":
             w.stats = payload
-            w.stats_token = payload["token"]
         elif kind == "tenant_state":
             tenant = payload["tenant"]
-            if tenant in self._awaiting_blob:
+            if tenant in self._tenant_blobs:
                 self._tenant_blobs[tenant] = payload["blob"]
             # else: a recovery replayed a journaled export_tenant frame
             # for a migration that already cut over -- the blob has no
@@ -853,47 +858,18 @@ class ClusterService(Router):
         else:
             raise ClusterError(f"router cannot handle frame {kind!r}")
 
-    def _maybe_checkpoint(self) -> None:
-        """Request checkpoints from workers past the flush cadence.
-
-        Runs at the tail of every :meth:`_pump` (where flush frames are
-        counted); the reentrancy guard keeps the posts inside from
-        recursing back into here through their own pumps.  Suppressed
-        during a recovery replay or a mid-delivery :meth:`_send` (a
-        request marked then would truncate journal frames its blob does
-        not cover) and during shutdown (nothing follows a stop frame).
-        """
-        if (self._in_maybe_ckpt or self._in_recover or self._in_send
-                or self._stopping):
-            return
-        self._in_maybe_ckpt = True
-        try:
-            for w in self._workers:
-                if (w.flushes_since_ckpt >= self.checkpoint_every
-                        and w.ckpt_mark is None):
-                    self._request_checkpoint(w)
-        finally:
-            self._in_maybe_ckpt = False
-
-    def _request_checkpoint(self, w: _WorkerHandle) -> None:
-        """Mark the truncation point and post the checkpoint request.
-        If the worker is gone, its recovery clears the mark."""
-        w.ckpt_mark = len(w.journal)
-        self._post(w, self._encode_transport("checkpoint", None))
-
     def checkpoint_now(self, worker_id: int | None = None) -> None:
-        """Synchronously checkpoint one worker (or all): request, then
-        pump until the blob lands and the journal truncates.  The chaos
-        suite uses this to pin ``had_checkpoint`` recoveries
-        deterministically instead of racing the flush cadence."""
+        """Synchronously checkpoint one worker (or all): request a blob,
+        then pump until a checkpoint covers every journaled frame sent
+        so far (the journal is empty).  The chaos suite uses this to pin
+        ``had_checkpoint`` recoveries at chosen points of the stream."""
         self._require_live()
         targets = (self._workers if worker_id is None
                    else [self._workers[worker_id]])
         for w in targets:
-            if w.ckpt_mark is None:
-                self._request_checkpoint(w)
-        self._await(targets, lambda w: w.ckpt_mark is None,
-                    self._request_checkpoint,
+            self._send(w, "checkpoint")
+        self._await(targets, lambda w: not w.journal,
+                    lambda w: self._send(w, "checkpoint"),
                     "never answered a checkpoint request")
 
     def _await(self, targets: list[_WorkerHandle], done, redo,
@@ -901,8 +877,10 @@ class ClusterService(Router):
         """Pump until ``done(w)`` holds for every target.
 
         A target found dead is recovered and then ``redo(w)`` re-issues
-        its non-journaled request.  Waiting longer than ``op_timeout``
-        without a recovery raises :class:`ClusterError`.
+        its non-journaled request; the replies it wrote before dying (a
+        checkpoint, say) are read first, since recovery closes its pipe.
+        Waiting longer than ``op_timeout`` without a recovery raises
+        :class:`ClusterError`.
         """
         deadline = time.monotonic() + self.op_timeout
         while True:
@@ -911,10 +889,11 @@ class ClusterService(Router):
             if not waiting:
                 return
             dead = [w for w in waiting if not w.alive()]
-            for w in dead:
-                self._recover(w)
-                redo(w)
             if dead:
+                self._pump()
+                for w in dead:
+                    self._recover(w)
+                    redo(w)
                 deadline = time.monotonic() + self.op_timeout
                 continue   # the replay may already have answered
             if time.monotonic() > deadline:
@@ -931,6 +910,8 @@ class ClusterService(Router):
         frame; duplicate tickets and flush results are absorbed by the
         router's seq / ``(tenant, flush_seq)`` dedupe.  Exactly-once
         with no reconciliation pass -- the replay is the reconciliation.
+        The respawned worker's own cadence checkpoints may truncate the
+        journal mid-replay, so the record counts the journal beforehand.
         """
         t0 = time.perf_counter()
         w.respawns += 1
@@ -938,19 +919,17 @@ class ClusterService(Router):
             raise ClusterError(f"worker {w.worker_id} exceeded "
                                f"{self.max_respawns} respawns")
         self._reap(w, 0.0)
-        w.ckpt_mark = None
-        w.flushes_since_ckpt = 0
         self._spawn(w)
+        script, had_checkpoint = list(w.journal), w.checkpoint is not None
         self._in_recover = True
         try:
-            for data in list(w.journal):
+            for data in script:
                 self._post(w, data)
         finally:
             self._in_recover = False
         record = ClusterRecovery(
             worker_id=w.worker_id, respawn=w.respawns,
-            replayed_frames=len(w.journal),
-            had_checkpoint=w.checkpoint is not None,
+            replayed_frames=len(script), had_checkpoint=had_checkpoint,
             wall_seconds=time.perf_counter() - t0)
         self.recoveries.append(record)
         return record
@@ -1013,34 +992,22 @@ class ClusterService(Router):
 # Open-loop harness
 # ---------------------------------------------------------------------------
 
-def run_cluster_workload(workload: ServeWorkload, *, n_workers: int = 2,
-                         admission: AdmissionPolicy | None = None,
-                         batching: BatchPolicy | None = None,
-                         seed: int = 0, promote_after: int = 3,
-                         profile_window: int = 8, verify: bool = False,
-                         start_method: str = "spawn",
-                         checkpoint_every: int = 8,
-                         op_timeout: float = 60.0, max_respawns: int = 16,
-                         stages: StageClock | None = None,
+def run_cluster_workload(workload: ServeWorkload, *,
                          arm_exit: tuple[int, int] | None = None,
-                         ) -> tuple[ClusterService, float]:
+                         **cluster_kw) -> tuple[ClusterService, float]:
     """Drive a cluster through a workload; returns (cluster, wall seconds).
 
     The multi-process twin of :func:`~repro.serve.loadgen.run_workload`:
     the same drive loop, whose final stats barrier completes ticket and
-    result collection.  Wall time
+    result collection.  ``cluster_kw`` are :class:`ClusterService`'s
+    parameters.  Wall time
     covers submission through barrier (worker startup and teardown are
     excluded, like service construction is in-process).  ``arm_exit``
     optionally arms a chaos kill as ``(worker_id, after_flushes)``.
     The worker processes are stopped even when the drive loop raises
     (e.g. :class:`ClusterError` from a stalled worker).
     """
-    cluster = ClusterService(
-        n_workers=n_workers, admission=admission, batching=batching,
-        seed=seed, promote_after=promote_after,
-        profile_window=profile_window, verify=verify,
-        start_method=start_method, checkpoint_every=checkpoint_every,
-        op_timeout=op_timeout, max_respawns=max_respawns, stages=stages)
+    cluster = ClusterService(**cluster_kw)
     for spec in workload.tenants:
         cluster.register(spec)
     cluster.start()

@@ -32,8 +32,6 @@ import numpy as np
 from ..core.envelope import EnvelopeBatch, pack_keys
 from ..traces import generate_trace
 from ..traces.events import KIND_POST, KIND_SEND, Trace
-from .admission import AdmissionPolicy
-from .batching import BatchPolicy
 from .messages import TenantSpec
 from .service import MatchingService
 
@@ -199,23 +197,16 @@ def merge_workloads(name: str,
                          arrivals=tuple(arrivals))
 
 
-def run_workload(workload: ServeWorkload, *, n_shards: int = 1,
-                 admission: AdmissionPolicy | None = None,
-                 batching: BatchPolicy | None = None, seed: int = 0,
-                 promote_after: int = 3, profile_window: int = 8,
-                 verify: bool = False, obs=None,
+def run_workload(workload: ServeWorkload, **service_kw,
                  ) -> tuple[MatchingService, float]:
     """Drive a service through a workload; returns (service, wall seconds).
 
-    Wall time covers the submission loop plus the final drain -- the
-    sustained host-side serving rate -- and is measurement-only: no
-    decision inside the service reads it.
+    ``service_kw`` are :class:`~repro.serve.service.MatchingService`'s
+    parameters.  Wall time covers the submission loop plus the final
+    drain -- the sustained host-side serving rate -- and is
+    measurement-only: no decision inside the service reads it.
     """
-    service = MatchingService(n_shards=n_shards, admission=admission,
-                              batching=batching, seed=seed,
-                              promote_after=promote_after,
-                              profile_window=profile_window,
-                              verify=verify, obs=obs)
+    service = MatchingService(**service_kw)
     for spec in workload.tenants:
         service.register(spec)
     return service, _drive(service, workload)

@@ -36,8 +36,8 @@ import zlib
 
 from .state import SnapshotError, _dec_all, _enc
 
-__all__ = ["WIRE_MAGIC", "WIRE_VERSION", "FRAME_KINDS", "WireError",
-           "encode_frame", "decode_frame"]
+__all__ = ["WIRE_MAGIC", "WIRE_VERSION", "FRAME_KINDS", "JOURNALED_KINDS",
+           "WireError", "encode_frame", "decode_frame"]
 
 #: Wire frame magic (8 bytes; distinct from the snapshot magic so a
 #: frame can never be mistaken for a checkpoint blob or vice versa).
@@ -54,7 +54,8 @@ WIRE_VERSION = 2
 #: ``arm_exit`` (chaos: SIGKILL yourself mid-flush), ``export_tenant`` /
 #: ``install_tenant`` / ``release_tenant`` (live migration legs),
 #: ``stop`` (clean shutdown).  Worker -> router: ``ticket``, ``flush``,
-#: ``checkpointed``, ``stats_reply``, ``tenant_state``, ``bye``.
+#: ``checkpointed``, ``stats_reply``, ``tenant_state``, ``bye``.  The
+#: router journals exactly the :data:`JOURNALED_KINDS`.
 FRAME_KINDS = (
     "submit", "advance", "drain", "checkpoint", "stats", "arm_exit",
     "export_tenant", "install_tenant", "release_tenant", "stop",
@@ -64,6 +65,13 @@ FRAME_KINDS = (
     # ever go at the end
     "fabric_xfer",
 )
+
+#: The state-mutating router -> worker kinds: the router journals these
+#: frames for replay, and a worker counts them to say how many journaled
+#: frames a checkpoint covers.
+JOURNALED_KINDS = frozenset({
+    "submit", "advance", "drain", "fabric_xfer", "export_tenant",
+    "install_tenant", "release_tenant"})
 
 _KIND_ID = {kind: i for i, kind in enumerate(FRAME_KINDS)}
 

@@ -226,27 +226,6 @@ class TestRouterHardening:
     """Regressions for router races around checkpointing, shutdown, and
     harness cleanup."""
 
-    def test_no_checkpoint_mark_while_sending(self):
-        """A checkpoint request marked while a journaled frame is still
-        mid-delivery would truncate that frame from the journal without
-        its effects being in the blob -- ``_maybe_checkpoint`` must be a
-        no-op during ``_send``."""
-        cluster = ClusterService(n_workers=1, seed=0, start_method="fork",
-                                 checkpoint_every=1)
-        cluster.register(mixed_workload(steps=2, n_ranks=8).tenants[0])
-        with cluster:
-            w = cluster._workers[0]
-            w.flushes_since_ckpt = cluster.checkpoint_every  # past cadence
-            cluster._in_send = True
-            try:
-                cluster._maybe_checkpoint()
-                assert w.ckpt_mark is None, \
-                    "checkpoint marked while a send was in flight"
-            finally:
-                cluster._in_send = False
-            cluster._maybe_checkpoint()
-            assert w.ckpt_mark is not None  # cadence fires once send ends
-
     def test_checkpoint_cadence_identity_under_tiny_queue(self,
                                                           monkeypatch):
         """checkpoint_every=1 with both pipes of every worker shrunk to

@@ -10,7 +10,10 @@ bit-identical to the calm in-process run, the migration gate (only
 
 from __future__ import annotations
 
+import fcntl
+import os
 import time
+from collections import defaultdict
 
 import pytest
 
@@ -19,7 +22,10 @@ from repro.serve import (MIGRATING, BatchPolicy, ClusterService,
                          RebalancePolicy, TenantSpec, merge_workloads,
                          run_cluster_workload, run_workload, stable_shard,
                          workload_from_app)
+from repro.serve.cluster import _Link
+from repro.serve.state import loads
 from tests.serve.test_cluster_identity import assert_identical
+from tests.serve.test_cluster_transport import bench_stream
 
 # small size watermark: every arrival chunk triggers a synchronous
 # flush, so kill and checkpoint cadences have flushes to count.
@@ -109,6 +115,120 @@ class TestCheckpoints:
     def test_bad_cadence_rejected(self):
         with pytest.raises(ValueError):
             ClusterService(n_workers=2, checkpoint_every=0)
+
+
+def _record_checkpoints(monkeypatch) -> dict[int, list[int]]:
+    """From now on, record each worker's checkpoint positions: the
+    ``flushes_done`` of every checkpoint blob the router reads, in
+    order."""
+    positions: dict[int, list[int]] = defaultdict(list)
+    handle = ClusterService._handle
+
+    def recording(self, w, kind, payload):
+        if kind == "checkpointed":
+            positions[w.worker_id].append(
+                loads(payload["blob"])["flushes_done"])
+        handle(self, w, kind, payload)
+
+    monkeypatch.setattr(ClusterService, "_handle", recording)
+    return positions
+
+
+def _shrink_pipes(monkeypatch) -> None:
+    """Shrink both pipes of every worker spawned from now on to one
+    page."""
+    spawn = ClusterService._spawn
+
+    def spawn_tiny(self, w):
+        spawn(self, w)
+        for end in (w.link.cmd, w.link.resp):
+            fcntl.fcntl(end.fileno(), fcntl.F_SETPIPE_SZ,
+                        os.sysconf("SC_PAGE_SIZE"))
+
+    monkeypatch.setattr(ClusterService, "_spawn", spawn_tiny)
+
+
+class TestCheckpointCadence:
+    """Each worker checkpoints itself every ``checkpoint_every`` flushes
+    it makes, so where its checkpoints fall is fixed by the frame
+    stream, not by when the router happens to read its replies."""
+
+    def test_cadence_checkpoints_follow_the_frame_stream(self,
+                                                         monkeypatch):
+        """The same seeded kill at default and at one-page pipes takes
+        the same checkpoints and recovers the same way."""
+        workload = _workload()
+        victim = _busiest_worker(workload)
+        runs = []
+        for tiny in (False, True):
+            with monkeypatch.context() as patch:
+                positions = _record_checkpoints(patch)
+                if tiny:
+                    _shrink_pipes(patch)
+                cluster, _ = run_cluster_workload(
+                    workload, n_workers=2, seed=5, batching=BATCHING,
+                    start_method="fork", checkpoint_every=2,
+                    arm_exit=(victim, 5))
+            _exactly_once(cluster)
+            runs.append((dict(positions),
+                         [(r.worker_id, r.respawn, r.replayed_frames,
+                           r.had_checkpoint) for r in cluster.recoveries]))
+        assert runs[0] == runs[1]
+        assert [r[0] for r in runs[0][1]] == [victim]
+
+    def test_cadence_is_exact(self, monkeypatch):
+        """One worker on the cluster-mix stream takes exactly one
+        checkpoint per ``checkpoint_every`` flushes, the k-th within its
+        k-th cadence epoch."""
+        specs, arrivals = bench_stream(laps=2)
+        positions = _record_checkpoints(monkeypatch)
+        cluster = ClusterService(n_workers=1, seed=0, start_method="fork",
+                                 promote_after=2)
+        for spec in specs:
+            cluster.register(spec)
+        with cluster:
+            for vt, a in arrivals:
+                cluster.submit(a.tenant, a.messages, a.requests, at_vt=vt)
+            _finish(cluster)
+        every, flushes = cluster.checkpoint_every, len(cluster.results)
+        assert every == 8 and flushes >= 4 * every
+        assert ([p // every for p in positions[0]]
+                == list(range(1, flushes // every + 1)))
+
+    def test_kill_after_a_cadence_checkpoint_restores_it(self,
+                                                         monkeypatch):
+        """A worker killed on the flush right after a cadence checkpoint
+        recovers from that checkpoint and replays only the frames sent
+        after it, even when the checkpoint reply lands after the
+        barrier's first read: a dead worker's last replies are read
+        before it is reaped."""
+        cluster = ClusterService(
+            n_workers=1, seed=0, start_method="fork", checkpoint_every=2,
+            batching=BatchPolicy(max_envelopes=8, max_delay_vt=1.0))
+        cluster.register(TenantSpec(name="t", autotune=False))
+        msgs = EnvelopeBatch(src=[0, 1, 2, 3], tag=[5, 5, 5, 5])
+        with cluster:
+            worker = cluster._workers[0]
+            assert cluster.arm_worker_exit(0, after_flushes=3)
+            for k in range(4):   # one flush each; no reply read yet
+                cluster._submit("t", msgs, msgs, at_vt=k * 1e-3)
+            worker.proc.join(timeout=10.0)
+            assert not worker.alive()
+            read, late = _Link.read, [True]
+
+            def read_late(link):
+                if late:   # as if the replies landed just after this read
+                    late.clear()
+                    return []
+                return read(link)
+
+            monkeypatch.setattr(_Link, "read", read_late)
+            cluster.sync()
+        (record,) = cluster.recoveries
+        assert record.had_checkpoint
+        assert record.replayed_frames == 2   # the submits after flush 2
+        assert len(cluster.results) == 4
+        _exactly_once(cluster)
 
 
 class TestCrashRecovery:
@@ -329,8 +449,7 @@ class TestStop:
             cluster.drain()
             cluster.sync()
             worker = cluster._workers[0]
-            if worker.ckpt_mark is None:
-                cluster._request_checkpoint(worker)
+            cluster._send(worker, "checkpoint")
             proc = worker.proc
             t0 = time.perf_counter()
         assert time.perf_counter() - t0 < 0.5
