@@ -299,10 +299,8 @@ class MatchingEngine:
         pending against the next outcome, and the build knobs.
         """
         return {
-            "relaxations": self.relaxations.label(),
-            "demotions": [(e.from_label, e.to_label, e.reason,
-                           e.extra_seconds, e.extra_cycles)
-                          for e in self.demotions],
+            "relaxations": self.relaxations,
+            "demotions": list(self.demotions),
             "pending_seconds": self._pending_demotion_seconds,
             "pending_cycles": self._pending_demotion_cycles,
             "n_queues": self._n_queues,
@@ -316,18 +314,14 @@ class MatchingEngine:
                    verify: bool = False, obs=None) -> "MatchingEngine":
         """Rebuild an engine from :meth:`export_state` (inverse op)."""
         engine = cls(gpu=gpu,
-                     relaxations=RelaxationSet.from_label(
-                         state["relaxations"]),
+                     relaxations=state["relaxations"],
                      n_queues=int(state["n_queues"]),
                      n_ctas=int(state["n_ctas"]),
                      window=int(state["window"]),
                      verify=verify,
                      demote_on_violation=bool(state["demote_on_violation"]),
                      obs=obs)
-        engine.demotions = [
-            DemotionEvent(from_label=f, to_label=t, reason=r,
-                          extra_seconds=float(s), extra_cycles=float(c))
-            for f, t, r, s, c in state["demotions"]]
+        engine.demotions = list(state["demotions"])
         engine._pending_demotion_seconds = float(state["pending_seconds"])
         engine._pending_demotion_cycles = float(state["pending_cycles"])
         return engine

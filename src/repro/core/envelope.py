@@ -256,7 +256,7 @@ class EnvelopeBatch:
         return cls.view(np.asarray(state["src"], dtype=np.int64),
                         np.asarray(state["tag"], dtype=np.int64),
                         np.asarray(state["comm"], dtype=np.int64),
-                        packed=(None if state.get("packed") is None
+                        packed=(None if state["packed"] is None
                                 else np.asarray(state["packed"],
                                                 dtype=np.int64)))
 

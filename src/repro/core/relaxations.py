@@ -119,7 +119,7 @@ class RelaxationSet:
 
     @classmethod
     def from_label(cls, label: str) -> "RelaxationSet":
-        """Inverse of :meth:`label` (the snapshot format stores labels).
+        """Inverse of :meth:`label`.
 
         >>> RelaxationSet.from_label("nowc+noord+unexp")
         RelaxationSet(wildcards=False, ordering=False, unexpected=True)

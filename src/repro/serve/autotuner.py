@@ -199,22 +199,14 @@ class Autotuner:
         return {"streak_target": self._streak_target,
                 "streak": self._streak,
                 "promote_after": self.promote_after,
-                "events": [(e.tenant, e.vt, e.from_label, e.to_label,
-                            e.direction, e.reason, e.extra_cycles,
-                            e.extra_seconds) for e in self.events]}
+                "events": list(self.events)}
 
     def restore_state(self, state: dict) -> None:
         """Inverse of :meth:`export_state` (spec/gpu rebuilt separately)."""
-        st = state["streak_target"]
-        self._streak_target = None if st is None else int(st)
+        self._streak_target = state["streak_target"]
         self._streak = int(state["streak"])
         self.promote_after = int(state["promote_after"])
-        self.events = [RetuneEvent(tenant=str(t), vt=float(vt),
-                                   from_label=str(fl), to_label=str(tl),
-                                   direction=str(d), reason=str(r),
-                                   extra_cycles=float(xc),
-                                   extra_seconds=float(xs))
-                       for t, vt, fl, tl, d, r, xc, xs in state["events"]]
+        self.events = list(state["events"])
 
     def record_external_demotion(self, from_label: str, to_label: str,
                                  reason: str, now_vt: float) -> None:

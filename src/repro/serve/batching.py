@@ -164,6 +164,5 @@ class BatchAccumulator:
         """Inverse of :meth:`export_state` (policy is rebuilt separately)."""
         self._pending = list(state["pending"])
         self._n_envelopes = int(state["n_envelopes"])
-        fa = state["first_admit_vt"]
-        self._first_admit_vt = None if fa is None else float(fa)
+        self._first_admit_vt = state["first_admit_vt"]
         self.epoch = int(state["epoch"])

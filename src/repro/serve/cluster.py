@@ -53,7 +53,7 @@ next barrier that waits on it (stats, checkpoint, export) reads its
 last replies, respawns it from the last checkpoint and
 **re-executes the journal verbatim** -- the worker deterministically
 regenerates every post-checkpoint ticket and flush result, and the
-router deduplicates by seq and ``(tenant, flush_seq)``.  Zero admitted
+router deduplicates by seq and per-tenant ``flush_seq``.  Zero admitted
 envelopes lost, none matched twice, no reconciliation pass needed: the
 replay *is* the reconciliation.
 
@@ -92,8 +92,7 @@ from .messages import (ClusterError, FlushResult, ShardCrash, TenantSpec,
                        Ticket)
 from .service import Router, ShardWorker
 from .stages import SERVE_STAGES, StageClock
-from .state import (dumps, install_worker, loads, policies_from,
-                    policies_state, worker_state)
+from .state import dumps, install_worker, loads, worker_state
 from .wire import JOURNALED_KINDS, WireError, decode_frame, encode_frame
 
 __all__ = ["ClusterError", "ClusterRecovery", "ClusterMigration",
@@ -169,8 +168,7 @@ def _worker_main(init_blob: bytes, cmd, resp) -> None:
     """
     cfg = loads(init_blob)
     worker = ShardWorker(cfg["worker_id"], seed=cfg["seed"],
-                         stages=StageClock(),
-                         **policies_from(cfg["policies"]))
+                         stages=StageClock(), **cfg["policies"])
     if cfg["checkpoint"] is not None:
         install_worker(worker, loads(cfg["checkpoint"]))
     else:
@@ -258,6 +256,7 @@ class _Link:
         self.inbuf = bytearray()   # a reply frame's head, awaiting its tail
         self.eof = False           # the worker's write end is closed
         self.broken = False        # the worker's read end is closed
+        self.proc = None           # the worker process, once started
         os.set_blocking(cmd.fileno(), False)
         os.set_blocking(resp.fileno(), False)
         _LIVE_LINKS.add(self)
@@ -325,11 +324,19 @@ def _close_router_ends() -> None:
 
     Only the router may hold them: a worker holding its own command
     pipe's write end never reads EOF, and one holding a sibling's keeps
-    that sibling alive, so either would outlive a killed router.  Under
+    that sibling alive, so either would outlive a killed router.  The
+    same goes for each live sibling's ``multiprocessing`` pipes: its
+    ``sentinel`` and the write end of its parent-death pipe.  Under
     spawn nothing is inherited and this never runs.
     """
     for link in list(_LIVE_LINKS):
         link.close()
+        if link.proc is not None:
+            # Process names only the sentinel; both fds are the args of
+            # the finalizer its popen registered, which runs only in the
+            # router (and empties the args once it has closed them)
+            for fd in link.proc._popen.finalizer._args or ():
+                os.close(fd)
 
 
 os.register_at_fork(after_in_child=_close_router_ends)
@@ -420,16 +427,22 @@ class ClusterService(Router):
                          batching if batching is not None else BatchPolicy())
         self.n_workers = n_workers
         self.seed = seed
-        self._policies = policies_state(
-            admission if admission is not None else AdmissionPolicy(),
-            self.batching, promote_after, profile_window, verify)
+        #: the shard keywords every worker's ShardWorker is built with
+        self._policies = {
+            "admission": (admission if admission is not None
+                          else AdmissionPolicy()),
+            "batching": self.batching, "promote_after": promote_after,
+            "profile_window": profile_window, "verify": verify}
         self.checkpoint_every = checkpoint_every
         self.op_timeout = op_timeout
         self.max_respawns = max_respawns
         self.stages = stages
         self._ctx = mp.get_context(start_method)
         self.tickets: dict[int, Ticket] = {}
-        self._seen_flush: set[tuple[str, int]] = set()
+        #: tenant -> highest flush_seq routed: replies are FIFO and an
+        #: export is read before its install is sent, so a replay only
+        #: re-delivers flushes at or below the mark.
+        self._flush_mark: dict[str, int] = {}
         #: migrating tenant -> its exported blob (``None`` while awaited)
         self._tenant_blobs: dict[str, bytes | None] = {}
         self._stats_token = 0
@@ -554,7 +567,7 @@ class ClusterService(Router):
 
         Transfers travel as journaled ``fabric_xfer`` frames, so a
         worker SIGKILLed mid-superstep replays them verbatim at recovery
-        -- zero envelopes lost -- and the ``(tenant, flush_seq)`` dedupe
+        -- zero envelopes lost -- and the per-tenant ``flush_seq`` mark
         absorbs any re-derived flushes.
         """
         self._require_live()
@@ -735,7 +748,7 @@ class ClusterService(Router):
             # EOF on the response pipe, EPIPE on the command pipe
             cmd_r.close()
             resp_w.close()
-        w.proc, w.link = proc, link
+        w.proc, w.link, link.proc = proc, link, proc
 
     @staticmethod
     def _reap(w: _WorkerHandle, grace: float) -> None:
@@ -830,10 +843,9 @@ class ClusterService(Router):
         if kind == "ticket":
             self.tickets.setdefault(payload.seq, payload)
         elif kind == "flush":
-            key = (payload.tenant, payload.flush_seq)
-            if key in self._seen_flush:
+            if payload.flush_seq <= self._flush_mark.get(payload.tenant, -1):
                 return   # journal replay re-delivered a known flush
-            self._seen_flush.add(key)
+            self._flush_mark[payload.tenant] = payload.flush_seq
             self._route_flush(payload)
         elif kind == "checkpointed":
             # The count is absolute: a blob covering no more than the
@@ -908,7 +920,7 @@ class ClusterService(Router):
         The worker restores the last checkpoint (or cold-starts from its
         tenant specs) and deterministically re-runs every journaled
         frame; duplicate tickets and flush results are absorbed by the
-        router's seq / ``(tenant, flush_seq)`` dedupe.  Exactly-once
+        router's seq / per-tenant ``flush_seq`` dedupe.  Exactly-once
         with no reconciliation pass -- the replay is the reconciliation.
         The respawned worker's own cadence checkpoints may truncate the
         journal mid-replay, so the record counts the journal beforehand.

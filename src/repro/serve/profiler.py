@@ -126,14 +126,12 @@ class StreamProfiler:
     def export_state(self) -> dict:
         """Window contents for the serve snapshot format."""
         return {"window_flushes": self.window_flushes,
-                "window": [list(s) for s in self._window]}
+                "window": list(self._window)}
 
     def restore_state(self, state: dict) -> None:
         """Inverse of :meth:`export_state`."""
         self.window_flushes = int(state["window_flushes"])
-        self._window = deque((tuple(int(x) for x in s)
-                              for s in state["window"]),
-                             maxlen=self.window_flushes)
+        self._window = deque(state["window"], maxlen=self.window_flushes)
 
     def profile(self) -> WorkloadProfile:
         """The aggregated profile of the current window."""

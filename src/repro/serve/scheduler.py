@@ -120,8 +120,7 @@ class EventLoop:
                 "seed": self.seed,
                 "next_seq": self._next_seq,
                 "rng_state": self.rng.bit_generator.state,
-                "events": [(ev.vt, ev.seq, ev.kind, ev.payload)
-                           for ev in sorted(self._heap)]}
+                "events": sorted(self._heap)}
 
     def restore_state(self, state: dict) -> None:
         """Inverse of :meth:`export_state`."""
@@ -130,7 +129,5 @@ class EventLoop:
         self._next_seq = int(state["next_seq"])
         self.rng = np.random.default_rng(self.seed)
         self.rng.bit_generator.state = state["rng_state"]
-        self._heap = [TimerEvent(vt=float(vt), seq=int(seq),
-                                 kind=str(kind), payload=payload)
-                      for vt, seq, kind, payload in state["events"]]
+        self._heap = list(state["events"])
         heapq.heapify(self._heap)

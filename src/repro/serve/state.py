@@ -17,10 +17,15 @@ the data plane already uses:
 * **A versioned, CRC-guarded binary snapshot codec**
   (:func:`dumps` / :func:`loads`) -- a small tagged format (none, bool,
   arbitrary-precision int, float64, str, bytes, ndarray, list, tuple,
-  insertion-ordered dict) with a magic header, a format version, and a
-  CRC32 trailer.  Arbitrary-precision ints matter: the event loop's
-  PCG64 generator state carries 128-bit counters that a fixed-width
-  encoding would corrupt.  No pickle anywhere -- a snapshot is data,
+  insertion-ordered dict, tagged serve type) with a magic header, a
+  format version, and a CRC32 trailer.  Arbitrary-precision ints
+  matter: the event loop's PCG64 generator state carries 128-bit
+  counters that a fixed-width encoding would corrupt.  A serve
+  dataclass (requests, tickets, flush results, specs, policies, event
+  records) travels as the tuple of its ``init`` fields and is rebuilt
+  through its constructor, so its own checks run on every decoded value
+  and adding a field needs no codec edit; an ``EnvelopeBatch`` travels
+  as its packed columns.  No pickle anywhere -- a snapshot is data,
   never code.
 
 * **Worker checkpoints** (:func:`worker_state` /
@@ -41,24 +46,24 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import asdict
+from dataclasses import fields
 
 import numpy as np
 
-from ..core.engine import MatchingEngine
+from ..core.engine import DemotionEvent, MatchingEngine
 from ..core.envelope import EnvelopeBatch
 from ..core.relaxations import RelaxationSet
 from ..core.result import MatchOutcome
 from .admission import AdmissionPolicy
-from .autotuner import Autotuner
+from .autotuner import Autotuner, RetuneEvent
 from .batching import BatchAccumulator, BatchPolicy, concat_batches
 from .messages import FlushResult, ServeRequest, TenantSpec, Ticket
 from .profiler import StreamProfiler
+from .scheduler import TimerEvent
 
 __all__ = ["SnapshotError", "SNAPSHOT_MAGIC", "SNAPSHOT_VERSION",
-           "dumps", "loads", "SessionState", "policies_state",
-           "policies_from", "export_tenant", "install_tenant",
-           "worker_state", "install_worker"]
+           "dumps", "loads", "SessionState", "export_tenant",
+           "install_tenant", "worker_state", "install_worker"]
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +77,9 @@ SNAPSHOT_MAGIC = b"RSRVSNAP"
 #: refuses a version it does not know instead of misreading it.
 #: Version 2: serve message types are tagged values, and per-worker
 #: state carries no result ledgers.  Version 3: a tenant's profiler
-#: window is five integers per flush.
-SNAPSHOT_VERSION = 3
+#: window is five integers per flush.  Version 4: every serve dataclass
+#: is a tagged tuple of its ``init`` fields.
+SNAPSHOT_VERSION = 4
 
 _T_NONE = 0x00
 _T_FALSE = 0x01
@@ -433,117 +439,35 @@ class SessionState:
 
 
 # ---------------------------------------------------------------------------
-# Message-type (de)serialization
+# Serve types
 # ---------------------------------------------------------------------------
 
-def _spec_state(spec: TenantSpec) -> dict:
-    return {"name": spec.name,
-            "relaxations": (None if spec.relaxations is None
-                            else spec.relaxations.label()),
-            "ordering_required": spec.ordering_required,
-            "autotune": spec.autotune,
-            "n_queues": spec.n_queues,
-            "n_ctas": spec.n_ctas,
-            "session": spec.session,
-            "session_max_carryover": spec.session_max_carryover,
-            "session_max_age_flushes": spec.session_max_age_flushes,
-            "partitioned": spec.partitioned,
-            "span": spec.span}
+def _by_fields(cls) -> tuple:
+    """``cls``'s ``_TYPES`` entry: its ``init`` fields out, ``cls(*fields)``
+    back in."""
+    names = tuple(f.name for f in fields(cls) if f.init)
+    return (cls, lambda obj: tuple(getattr(obj, n) for n in names),
+            lambda state: cls(*state))
 
 
-def _spec_from(state: dict) -> TenantSpec:
-    rel = state["relaxations"]
-    return TenantSpec(
-        name=str(state["name"]),
-        relaxations=None if rel is None else RelaxationSet.from_label(rel),
-        ordering_required=bool(state["ordering_required"]),
-        autotune=bool(state["autotune"]),
-        n_queues=int(state["n_queues"]),
-        n_ctas=int(state["n_ctas"]),
-        session=bool(state["session"]),
-        session_max_carryover=int(state["session_max_carryover"]),
-        session_max_age_flushes=int(state["session_max_age_flushes"]),
-        partitioned=bool(state.get("partitioned", False)),
-        span=int(state.get("span", 1)))
-
-
-def _outcome_state(o: MatchOutcome) -> dict:
-    return {"request_to_message": o.request_to_message,
-            "n_messages": o.n_messages, "n_requests": o.n_requests,
-            "seconds": o.seconds, "cycles": o.cycles,
-            "iterations": o.iterations, "replicas": o.replicas,
-            "meta": o.meta}
-
-
-def _outcome_from(state: dict) -> MatchOutcome:
-    return MatchOutcome(
-        request_to_message=np.asarray(state["request_to_message"],
-                                      dtype=np.int64),
-        n_messages=int(state["n_messages"]),
-        n_requests=int(state["n_requests"]),
-        seconds=float(state["seconds"]), cycles=float(state["cycles"]),
-        iterations=int(state["iterations"]),
-        replicas=int(state["replicas"]), meta=dict(state["meta"]))
-
-
-def _flush_result_state(r: FlushResult) -> dict:
-    return {"tenant": r.tenant, "shard_id": r.shard_id,
-            "flush_seq": r.flush_seq, "flush_vt": r.flush_vt,
-            "outcome": _outcome_state(r.outcome),
-            "covered_seqs": r.covered_seqs,
-            "latencies_vt": r.latencies_vt,
-            "engine_label": r.engine_label, "meta": r.meta}
-
-
-def _flush_result_from(state: dict) -> FlushResult:
-    return FlushResult(
-        tenant=str(state["tenant"]), shard_id=int(state["shard_id"]),
-        flush_seq=int(state["flush_seq"]),
-        flush_vt=float(state["flush_vt"]),
-        outcome=_outcome_from(state["outcome"]),
-        covered_seqs=tuple(int(s) for s in state["covered_seqs"]),
-        latencies_vt=tuple(float(v) for v in state["latencies_vt"]),
-        engine_label=str(state["engine_label"]), meta=dict(state["meta"]))
-
-
-#: The serve message types the codec carries as tagged values, each
-#: with its canonical form and the inverse.  Append only: a type's tag
-#: is ``_T_TYPED`` plus its index here.
-_TYPES = (
-    (EnvelopeBatch, EnvelopeBatch.state_dict, EnvelopeBatch.from_state_dict),
-    (ServeRequest,
-     lambda r: (r.tenant, r.seq, r.arrival_vt, r.messages, r.requests),
-     lambda s: ServeRequest(*s)),
-    (Ticket,
-     lambda t: (t.status, t.tenant, t.seq, t.retry_after_vt, t.reason),
-     lambda s: Ticket(*s)),
-    (FlushResult, _flush_result_state, _flush_result_from),
-    (TenantSpec, _spec_state, _spec_from),
-)
+#: The types the codec carries as tagged values, each with its canonical
+#: form and the inverse.  A dataclass travels as the tuple of its
+#: ``init`` fields in declaration order and is rebuilt by ``cls(*fields)``,
+#: so its ``__post_init__`` checks run on every decoded value and a new
+#: field needs no codec edit.  ``EnvelopeBatch`` alone is hand-written: it
+#: carries columns plus the packed-key cache.  A type's tag is
+#: ``_T_TYPED`` plus its index here, fixed within one ``SNAPSHOT_VERSION``.
+_TYPES = ((EnvelopeBatch, EnvelopeBatch.state_dict,
+           EnvelopeBatch.from_state_dict),) + tuple(
+    _by_fields(cls) for cls in (
+        ServeRequest, Ticket, FlushResult, TenantSpec, MatchOutcome,
+        RelaxationSet, AdmissionPolicy, BatchPolicy, RetuneEvent,
+        DemotionEvent, TimerEvent))
 
 
 # ---------------------------------------------------------------------------
 # Tenant / worker checkpoints
 # ---------------------------------------------------------------------------
-
-def policies_state(admission: AdmissionPolicy, batching: BatchPolicy,
-                   promote_after: int, profile_window: int,
-                   verify: bool) -> dict:
-    """The shard policies a worker is built from, in snapshot form."""
-    return {"admission": asdict(admission), "batching": asdict(batching),
-            "promote_after": promote_after,
-            "profile_window": profile_window, "verify": verify}
-
-
-def policies_from(state: dict) -> dict:
-    """Inverse of :func:`policies_state`, as keyword arguments for
-    :class:`~repro.serve.service.ShardWorker`."""
-    return {"admission": AdmissionPolicy(**state["admission"]),
-            "batching": BatchPolicy(**state["batching"]),
-            "promote_after": state["promote_after"],
-            "profile_window": state["profile_window"],
-            "verify": state["verify"]}
-
 
 def export_tenant(ts) -> dict:
     """Deep state of one tenant (a :class:`~repro.serve.shard.TenantState`).

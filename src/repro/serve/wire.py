@@ -14,9 +14,11 @@ Design points:
 * **No pickle of live objects.**  Envelope batches cross the boundary as
   their packed column ``state_dict`` (the cached packed64 key column
   included -- the zero re-marshalling contract survives the process
-  hop); requests, tickets, flush results, and tenant specs are the
-  snapshot codec's tagged values, so a frame payload holds the same
-  live objects a loopback worker is handed.  The only thing
+  hop); every other serve type (requests, tickets, flush results,
+  tenant specs, policies) is a dataclass that crosses as the tuple of
+  its ``init`` fields and is rebuilt through its constructor, so a
+  frame payload holds the same live objects a loopback worker is
+  handed, and adding a field needs no codec edit.  The only thing
   multiprocessing itself ever transports is ``bytes``.
 * **Every single-bit corruption is rejected.**  A flipped bit lands in
   the magic (bad magic), the version (unsupported version), the length
@@ -45,7 +47,8 @@ WIRE_MAGIC = b"RSRVWIRE"
 
 #: Frame format version; decoders refuse versions they do not know.
 #: Version 2: payloads carry the snapshot codec's tagged serve types.
-WIRE_VERSION = 2
+#: Version 3: every serve dataclass is a tagged tuple of its fields.
+WIRE_VERSION = 3
 
 #: The protocol's frame kinds.  Router -> worker: ``submit`` (one routed
 #: request), ``advance`` (broadcast virtual-time advance), ``drain``
@@ -61,8 +64,8 @@ FRAME_KINDS = (
     "export_tenant", "install_tenant", "release_tenant", "stop",
     "ticket", "flush", "checkpointed", "stats_reply", "tenant_state",
     "bye",
-    # appended in PR 9 -- kind ids are tuple indices, so new kinds only
-    # ever go at the end
+    # kind ids are tuple indices, fixed within one WIRE_VERSION: a new
+    # kind goes at the end or comes with a version bump
     "fabric_xfer",
 )
 

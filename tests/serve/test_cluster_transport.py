@@ -222,6 +222,9 @@ def test_worker_holds_only_its_own_pipe_ends(start_method):
             for other, inos in links.items():
                 if other != w.worker_id:
                     assert not set(inos) & set(held)
+            for sib in cluster._workers:
+                if sib is not w:
+                    assert os.fstat(sib.proc.sentinel).st_ino not in held
 
     with cluster:
         check()

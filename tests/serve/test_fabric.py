@@ -83,13 +83,9 @@ class TestSpanSpec:
             svc.register(TenantSpec(name="mpi"))
 
     def test_spec_state_roundtrip_carries_span(self):
-        from repro.serve.state import _spec_from, _spec_state
+        from repro.serve.state import dumps, loads
         spec = TenantSpec(name="t", span=3, autotune=False)
-        assert _spec_from(_spec_state(spec)) == spec
-        # pre-span snapshots (no "span" key) default to 1
-        state = _spec_state(TenantSpec(name="u"))
-        del state["span"]
-        assert _spec_from(state).span == 1
+        assert loads(dumps(spec)) == spec
 
 
 class TestDifferential:

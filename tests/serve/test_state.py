@@ -3,16 +3,23 @@ bit-identical worker checkpoint/restore, and vt-derived retry hints."""
 
 from __future__ import annotations
 
+from dataclasses import fields, is_dataclass
+
 import numpy as np
 import pytest
 
+from repro.core.engine import DemotionEvent
 from repro.core.envelope import EnvelopeBatch
-from repro.serve import (AdmissionPolicy, BatchPolicy, MatchingService,
-                         SessionState, SnapshotError, TenantSpec,
-                         merge_workloads, run_workload, workload_from_app)
+from repro.core.relaxations import RelaxationSet
+from repro.core.result import MatchOutcome
+from repro.serve import (AdmissionPolicy, BatchPolicy, FlushResult,
+                         MatchingService, RetuneEvent, ServeRequest,
+                         SessionState, SnapshotError, TenantSpec, Ticket,
+                         TimerEvent, merge_workloads, run_workload,
+                         workload_from_app)
 from repro.serve.service import ShardWorker
-from repro.serve.state import (SNAPSHOT_MAGIC, dumps, install_worker, loads,
-                               policies_from, policies_state)
+from repro.serve.state import (_TYPES, SNAPSHOT_MAGIC, dumps, install_worker,
+                               loads)
 from tests.conftest import permuted_pair
 
 
@@ -77,6 +84,67 @@ class TestCodec:
             dumps({"bad": {1, 2}})
         with pytest.raises(SnapshotError, match="object-dtype"):
             dumps(np.array([object()], dtype=object))
+
+
+def _registered_instances() -> dict[type, object]:
+    """One non-default instance of every dataclass the codec carries."""
+    msgs, reqs = permuted_pair(np.random.default_rng(3), 6)
+    outcome = MatchOutcome(np.array([1, -1, 0]), n_messages=2, n_requests=3,
+                           seconds=2e-6, cycles=1500.0, iterations=2,
+                           meta={"queues": [3, 1], "hash": {"rounds": 2}})
+    return {
+        ServeRequest: ServeRequest("t", 5, 0.25, msgs, reqs),
+        Ticket: Ticket("retryable", "t", 6, 1.5e-3, "soft watermark"),
+        FlushResult: FlushResult("t", 1, 7, 0.5, outcome, (5, 6),
+                                 (1e-4, 2e-4), "nowc+ord+unexp",
+                                 {"carryover_umq": 2}),
+        TenantSpec: TenantSpec("t", RelaxationSet(False, True, False),
+                               ordering_required=False, session=True,
+                               session_max_carryover=64, partitioned=True),
+        MatchOutcome: outcome,
+        RelaxationSet: RelaxationSet(False, False, True),
+        AdmissionPolicy: AdmissionPolicy(64, 0.5, 2e-3),
+        BatchPolicy: BatchPolicy(32, 5e-4),
+        RetuneEvent: RetuneEvent("t", 0.125, "wc+ord+unexp",
+                                 "nowc+ord+unexp", "promote", "no wildcards",
+                                 extra_seconds=3e-5),
+        DemotionEvent: DemotionEvent("nowc+ord+unexp", "wc+ord+unexp",
+                                     "wildcard request", 3e-5),
+        TimerEvent: TimerEvent(0.5, 9, "deadline", ("t", 3)),
+    }
+
+
+def _same(a, b) -> bool:
+    """Value equality, field by field through dataclasses (every field,
+    ``compare=False`` ones included) and dtype-exact for ndarrays."""
+    if is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("cls", list(_registered_instances()),
+                         ids=lambda cls: cls.__name__)
+def test_registered_dataclass_round_trips(cls):
+    """A registered dataclass travels as its ``init`` fields: it decodes
+    equal, re-encodes byte for byte, and its own checks run on decode."""
+    instances = _registered_instances()
+    assert [c for c, _, _ in _TYPES[1:]] == list(instances)
+    obj = instances[cls]
+    blob = dumps(obj)
+    rt = loads(blob)
+    assert _same(rt, obj)
+    assert dumps(rt) == blob
+    if cls is BatchPolicy:
+        bad = object.__new__(BatchPolicy)   # bypasses __post_init__
+        object.__setattr__(bad, "max_envelopes", 0)
+        object.__setattr__(bad, "max_delay_vt", obj.max_delay_vt)
+        with pytest.raises(SnapshotError) as info:
+            loads(dumps(bad))
+        cause = info.value.__cause__
+        assert type(cause) is ValueError and "max_envelopes" in str(cause)
 
 
 # ---------------------------------------------------------------------------
@@ -220,10 +288,10 @@ def _restore_workers(svc) -> None:
     dead worker process, minus the process."""
     for i, blob in enumerate(_checkpoints(svc)):
         shard = svc._workers[i].shard
-        policies = policies_from(policies_state(
-            shard.admission.policy, shard.batching, shard.promote_after,
-            shard.profile_window, shard.verify))
-        worker = ShardWorker(i, seed=5, **policies)
+        worker = ShardWorker(
+            i, seed=5, admission=shard.admission.policy,
+            batching=shard.batching, promote_after=shard.promote_after,
+            profile_window=shard.profile_window, verify=shard.verify)
         install_worker(worker, loads(blob))
         svc._workers[i] = worker
 
