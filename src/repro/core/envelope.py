@@ -55,6 +55,11 @@ MAX_COMM = 2**16 - 1
 #: The low 64 bits of an int: an int64 key word read unsigned.
 _WORD = 2**64 - 1
 
+#: The one zero-length column every :meth:`EnvelopeBatch.empty` shares;
+#: read-only, so an in-place write raises instead of aliasing batches.
+_EMPTY = np.empty(0, dtype=np.int64)
+_EMPTY.flags.writeable = False
+
 
 def pack_keys(src, tag, comm) -> np.ndarray:
     """The packed64 key of each ``(src, tag, comm)``, unchecked.
@@ -232,8 +237,8 @@ class EnvelopeBatch:
 
     @classmethod
     def empty(cls) -> "EnvelopeBatch":
-        """A zero-length batch."""
-        return cls(src=[], tag=[], comm=[])
+        """A zero-length batch (nothing to validate, so a :meth:`view`)."""
+        return cls.view(_EMPTY, _EMPTY, _EMPTY)
 
     # -- snapshot format -------------------------------------------------------
 

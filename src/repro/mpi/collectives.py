@@ -214,6 +214,24 @@ def _check_topology(comm: Communicator, topo) -> None:
                          f"communicator has {comm.size}")
 
 
+def _neighbor_lists(comm: Communicator, topo,
+                    send_lists: Sequence[Sequence[Any]],
+                    what: str) -> tuple[list[list[int]], list[list[int]]]:
+    """Check one send list per rank, one entry per destination neighbor
+    (``what`` names the entries), and return every rank's destination
+    and source lists, each read once."""
+    _check_topology(comm, topo)
+    p = comm.size
+    if len(send_lists) != p:
+        raise ValueError("need one send list per rank")
+    dests = [topo.destinations(r) for r in range(p)]
+    for r, (row, out) in enumerate(zip(send_lists, dests)):
+        if len(row) != len(out):
+            raise ValueError(f"rank {r}: {len(row)} {what} for {len(out)} "
+                             "destination neighbors")
+    return dests, [topo.sources(r) for r in range(p)]
+
+
 def neighbor_allgather(comm: Communicator, topo,
                        contributions: Sequence[Any]) -> list[list[Any]]:
     """``MPI_Neighbor_allgather``: each rank sends its contribution to
@@ -245,19 +263,11 @@ def neighbor_alltoall(comm: Communicator, topo,
     ``send_lists[r][k]`` goes to ``topo.destinations(r)[k]``; returns
     ``out[r][k]`` = what ``r`` received from ``topo.sources(r)[k]``.
     """
-    _check_topology(comm, topo)
-    p = comm.size
-    if len(send_lists) != p:
-        raise ValueError("need one send list per rank")
-    for r in range(p):
-        if len(send_lists[r]) != len(topo.destinations(r)):
-            raise ValueError(f"rank {r}: {len(send_lists[r])} payloads "
-                             f"for {len(topo.destinations(r))} "
-                             "destination neighbors")
-    reqs = [[comm.coll_irecv(r, s, _TAG_NEIGHBOR_ALLTOALL)
-             for s in topo.sources(r)] for r in range(p)]
-    for r in range(p):
-        for payload, d in zip(send_lists[r], topo.destinations(r)):
+    dests, srcs = _neighbor_lists(comm, topo, send_lists, "payloads")
+    reqs = [[comm.coll_irecv(r, s, _TAG_NEIGHBOR_ALLTOALL) for s in row]
+            for r, row in enumerate(srcs)]
+    for r, (row, out) in enumerate(zip(send_lists, dests)):
+        for payload, d in zip(row, out):
             comm.coll_isend(r, d, payload, _TAG_NEIGHBOR_ALLTOALL)
     return [[req.wait() for req in row] for row in reqs]
 
@@ -274,19 +284,11 @@ def neighbor_alltoallv(comm: Communicator, topo,
     message carrying its item list -- the v-variant varies volume, not
     message count.
     """
-    _check_topology(comm, topo)
-    p = comm.size
-    if len(send_lists) != p:
-        raise ValueError("need one send list per rank")
-    for r in range(p):
-        if len(send_lists[r]) != len(topo.destinations(r)):
-            raise ValueError(f"rank {r}: {len(send_lists[r])} item lists "
-                             f"for {len(topo.destinations(r))} "
-                             "destination neighbors")
-    reqs = [[comm.coll_irecv(r, s, _TAG_NEIGHBOR_ALLTOALLV)
-             for s in topo.sources(r)] for r in range(p)]
-    for r in range(p):
-        for items, d in zip(send_lists[r], topo.destinations(r)):
+    dests, srcs = _neighbor_lists(comm, topo, send_lists, "item lists")
+    reqs = [[comm.coll_irecv(r, s, _TAG_NEIGHBOR_ALLTOALLV) for s in row]
+            for r, row in enumerate(srcs)]
+    for r, (row, out) in enumerate(zip(send_lists, dests)):
+        for items, d in zip(row, out):
             comm.coll_isend(r, d, list(items), _TAG_NEIGHBOR_ALLTOALLV)
     return [[list(req.wait()) for req in row] for row in reqs]
 

@@ -12,22 +12,45 @@ objects cover the MPI-3 surface:
   per-rank adjacency, the shape of unstructured-mesh halo exchange
   (Laghos-style).
 
-Both expose the same read API -- ``n_ranks``, ``sources(rank)``,
-``destinations(rank)`` -- in a deterministic order, which is what the
-collectives in :mod:`repro.mpi.collectives` iterate.  The neighbor lists
-follow MPI's ordering rules: Cartesian neighbors are ordered by
-dimension, negative direction first; distributed-graph neighbors keep
-the order the application declared.
+Both build their per-rank neighbor tables once, at construction, and
+share one read API -- ``n_ranks``, ``sources(rank)``,
+``destinations(rank)``, ``edges()``: each read is a table lookup that
+returns a fresh list, and an out-of-range rank raises ``ValueError``.
+Cartesian neighbors are ordered by dimension, negative direction first;
+distributed-graph neighbors keep the order the application declared.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from math import prod
+from typing import Sequence
 
 __all__ = ["CartGraph", "DistGraph"]
 
 
-class CartGraph:
+class _Topology:
+    """The shared read path over ``n_ranks`` and the per-rank neighbor
+    tuples ``_dests``/``_srcs`` that a subclass builds once."""
+
+    def _row(self, table: tuple[tuple[int, ...], ...], rank: int) -> list[int]:
+        if not 0 <= rank < self.n_ranks:
+            raise ValueError(f"rank {rank} out of range")
+        return list(table[rank])
+
+    def destinations(self, rank: int) -> list[int]:
+        """Ranks ``rank`` sends to, in MPI neighbor order."""
+        return self._row(self._dests, rank)
+
+    def sources(self, rank: int) -> list[int]:
+        """Ranks ``rank`` receives from, in MPI neighbor order."""
+        return self._row(self._srcs, rank)
+
+    def edges(self) -> list[tuple[int, int]]:
+        """Every directed ``(src, dst)`` edge, source-major."""
+        return [(r, d) for r, out in enumerate(self._dests) for d in out]
+
+
+class CartGraph(_Topology):
     """Regular Cartesian grid topology (``MPI_Cart_create``).
 
     Parameters
@@ -52,9 +75,10 @@ class CartGraph:
         if len(periodic) != len(self.dims):
             raise ValueError("periodic flags must match dims")
         self.periodic = tuple(bool(p) for p in periodic)
-        self.n_ranks = 1
-        for d in self.dims:
-            self.n_ranks *= d
+        self.n_ranks = prod(self.dims)
+        # the grid is symmetric: sources are the destination table
+        self._dests = self._srcs = tuple(
+            self._stencil(r) for r in range(self.n_ranks))
 
     def coords(self, rank: int) -> tuple[int, ...]:
         """Grid coordinates of ``rank`` (row-major, like MPI)."""
@@ -77,11 +101,9 @@ class CartGraph:
             rank = rank * d + c
         return rank
 
-    def destinations(self, rank: int) -> list[int]:
-        """Face neighbors in MPI order: per dimension, -1 then +1.
-
-        The Cartesian graph is symmetric, so sources == destinations.
-        """
+    def _stencil(self, rank: int) -> tuple[int, ...]:
+        """Table builder: ``rank``'s face neighbors, per dimension -1
+        then +1, without self-loops or repeats."""
         coords = self.coords(rank)
         out: list[int] = []
         for dim, (c, extent, wrap) in enumerate(
@@ -92,26 +114,17 @@ class CartGraph:
                     n %= extent
                 elif not 0 <= n < extent:
                     continue
-                ncoords = list(coords)
-                ncoords[dim] = n
-                neighbor = self.rank_of(ncoords)
+                neighbor = self.rank_of(coords[:dim] + (n,) + coords[dim + 1:])
                 if neighbor != rank and neighbor not in out:
                     out.append(neighbor)
-        return out
-
-    sources = destinations
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Every directed ``(src, dst)`` edge, source-major."""
-        return [(r, d) for r in range(self.n_ranks)
-                for d in self.destinations(r)]
+        return tuple(out)
 
     def __repr__(self) -> str:
         return (f"CartGraph(dims={self.dims}, periodic={self.periodic}, "
                 f"n_ranks={self.n_ranks})")
 
 
-class DistGraph:
+class DistGraph(_Topology):
     """Arbitrary adjacency topology
     (``MPI_Dist_graph_create_adjacent``).
 
@@ -151,27 +164,13 @@ class DistGraph:
             if bad:
                 raise ValueError(f"rank(s) {bad} out of range "
                                  f"0..{self.n_ranks - 1}")
-        self._dests = {r: tuple(dests.get(r, ())) for r in
-                       range(self.n_ranks)}
-        srcs: dict[int, list[int]] = {r: [] for r in range(self.n_ranks)}
-        for rank in range(self.n_ranks):
-            for t in self._dests[rank]:
-                srcs[t].append(rank)
-        self._srcs = {r: tuple(v) for r, v in srcs.items()}
-
-    def destinations(self, rank: int) -> list[int]:
-        """Ranks this rank sends to, in declaration order."""
-        return list(self._dests[rank])
-
-    def sources(self, rank: int) -> list[int]:
-        """Ranks this rank receives from, ordered by sending rank."""
-        return list(self._srcs[rank])
-
-    def edges(self) -> list[tuple[int, int]]:
-        """Every directed ``(src, dst)`` edge, source-major."""
-        return [(r, d) for r in range(self.n_ranks)
-                for d in self._dests[r]]
+        self._dests = tuple(tuple(dests.get(r, ()))
+                            for r in range(self.n_ranks))
+        srcs: list[list[int]] = [[] for _ in range(self.n_ranks)]
+        for rank, t in self.edges():
+            srcs[t].append(rank)
+        self._srcs = tuple(tuple(v) for v in srcs)
 
     def __repr__(self) -> str:
-        n_edges = sum(len(v) for v in self._dests.values())
+        n_edges = sum(map(len, self._dests))
         return f"DistGraph(n_ranks={self.n_ranks}, n_edges={n_edges})"

@@ -931,6 +931,10 @@ class ClusterService(Router):
             raise ClusterError(f"worker {w.worker_id} exceeded "
                                f"{self.max_respawns} respawns")
         self._reap(w, 0.0)
+        # release the dead Process's own pipes (its popen finalizer's
+        # sentinel and parent-death ends), or the fork below inherits them
+        w.proc.close()
+        w.proc = None
         self._spawn(w)
         script, had_checkpoint = list(w.journal), w.checkpoint is not None
         self._in_recover = True

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from repro.core.envelope import (ANY_SOURCE, ANY_TAG, MAX_COMM, MAX_SRC,
                                  MAX_TAG, Envelope, EnvelopeBatch, pack64,
                                  unpack64)
+from repro.serve.batching import concat_batches
 
 src_s = st.integers(min_value=0, max_value=MAX_SRC)
 tag_s = st.integers(min_value=0, max_value=MAX_TAG)
@@ -196,6 +197,22 @@ class TestEnvelopeBatch:
         c = a.concatenate(b)
         assert len(c) == 2 and c[1] == Envelope(3, 4)
         assert c.take(np.array([1]))[0] == Envelope(3, 4)
+
+    def test_empty_batch(self):
+        """``empty()`` is a view over zero-length int64 columns: it packs,
+        snapshots and concatenates like any validated batch."""
+        empty = EnvelopeBatch.empty()
+        assert len(empty) == 0
+        for col in (empty.src, empty.tag, empty.comm):
+            assert col.ndim == 1 and col.dtype == np.int64 and col.size == 0
+        keys = empty.packed()
+        assert keys.dtype == np.int64 and keys.shape == (0,)
+        back = EnvelopeBatch.from_state_dict(EnvelopeBatch.empty().state_dict())
+        assert back == empty and back.src.dtype == np.int64
+        b = EnvelopeBatch(src=[1, 2], tag=[3, 4], comm=[0, 1])
+        assert concat_batches([EnvelopeBatch.empty(), b]) == b
+        assert EnvelopeBatch.empty().concatenate(b) == b
+        assert concat_batches([]) == empty
 
     def test_equality(self):
         a = EnvelopeBatch(src=[1], tag=[2])

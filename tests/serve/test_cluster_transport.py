@@ -208,7 +208,8 @@ def link_inodes(w) -> tuple[int, int]:
 def test_worker_holds_only_its_own_pipe_ends(start_method):
     """Each worker holds one end of each of its own link's two pipes
     and nothing of another worker's link -- also a worker respawned
-    while its sibling's link is open."""
+    while its sibling's link is open, which holds nothing of the dead
+    worker it replaces either."""
     cluster = ClusterService(n_workers=2, seed=0, start_method=start_method)
     cluster.register(TenantSpec(name="t"))
 
@@ -229,11 +230,13 @@ def test_worker_holds_only_its_own_pipe_ends(start_method):
     with cluster:
         check()
         proc = cluster._workers[0].proc
+        dead_sentinel = os.fstat(proc.sentinel).st_ino
         os.kill(proc.pid, signal.SIGKILL)
         proc.join(timeout=10.0)
         assert not proc.is_alive()
         check()
         assert len(cluster.recoveries) == 1
+        assert dead_sentinel not in pipe_inodes(cluster._workers[0].proc.pid)
 
 
 ROUTER = """
